@@ -44,6 +44,13 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit(report: dict, args) -> None:
     if getattr(args, "timestamps", False):
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -134,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--as-conjecture", action="store_true")
     p.add_argument("--require-full-dim", action="store_true")
     p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--budget", type=int, default=10**8)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
@@ -228,7 +235,7 @@ def _cmd_construct(args, hashes) -> tuple[dict, int]:
     builder, wanted = CONSTRUCTIONS[args.name]
     params = {}
     for key in wanted:
-        value = getattr(args, key if key != "lengths" else "lengths")
+        value = getattr(args, key)
         if value is None:
             raise ValueError(f"construction {args.name} needs --{key}")
         params[key] = list(_parse_ints(value)) if key == "lengths" else value

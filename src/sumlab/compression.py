@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .incidence import Direction, Hyperplane, line_partition, project_along
 from .linalg import affine_rank, invert_matrix, mat_vec
-from .pointset import AffineMap, Point, PointSet, affine_dimension, apply_affine
+from .pointset import AffineMap, Point, PointSet, affine_dimension, apply_affine, parse_rational
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class CompressionTrace:
         for raw in obj["steps"]:
             spec = CompressionSpec.from_json(raw)
             mapping = tuple(
-                (tuple(Fraction(c) for c in pre), tuple(Fraction(c) for c in post))
+                (tuple(map(parse_rational, pre)), tuple(map(parse_rational, post)))
                 for pre, post in raw["map"]
             )
             steps.append(TraceStep(spec, mapping))

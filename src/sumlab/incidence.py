@@ -3,28 +3,30 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import sub
 from typing import Sequence
 
 from .linalg import affine_rank, kernel_vector, matrix_rank
-from .pointset import Point, PointSet, format_rational, parse_rational
+from .pointset import Point, PointSet, _over_common_denominator, format_rational, parse_rational
+
+
+def _primitive_int(vec: tuple[int, ...]) -> tuple[int, ...]:
+    """Divide a nonzero integer vector by its gcd, signed so the first nonzero entry is positive."""
+    g = gcd(*vec)
+    if g == 0:
+        raise ValueError("zero vector has no direction")
+    return tuple(x // g for x in vec) if vec > (0,) * len(vec) else tuple(x // -g for x in vec)
 
 
 def _primitive(vec: Sequence) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive, sign-canonical integer vector."""
     fracs = [Fraction(x) for x in vec]
-    if all(f == 0 for f in fracs):
-        raise ValueError("zero vector has no direction")
     scale = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    return _primitive_int(tuple(int(f * scale) for f in fracs))
 
 
 @dataclass(frozen=True)
@@ -127,25 +129,25 @@ def min_line_cover(a: PointSet) -> tuple[Direction, int]:
 
     Searches every direction arising as a pairwise difference of set points.
     That is exact whenever the optimum is below |A|: an optimal line then
-    carries two set points, so its direction is a pairwise difference.  Ties
-    are broken toward the lexicographically smallest direction vector.
+    carries two set points, so its direction is a pairwise difference.
+
+    The points are scaled to integers over the lcm of their denominators (a
+    positive factor, so no direction changes).  Each pair i < j is bucketed by
+    its primitive sign-canonical direction, and each bucket counts the points
+    j that have an earlier point on their line; along that direction the set
+    needs |A| minus that count lines.  This is O(|A|^2) integer work in all,
+    with no partition built.  Ties are broken toward the lexicographically
+    smallest direction vector.
     """
-    if len(a) < 2:
+    n = len(a)
+    if n < 2:
         raise ValueError("need at least two points")
-    dirs = sorted(
-        {
-            Direction.of(tuple(x - y for x, y in zip(p, q)))
-            for p, q in itertools.combinations(a.points, 2)
-        },
-        key=lambda d: d.vec,
-    )
-    best_dir, best_count = None, len(a) + 1
-    for d in dirs:
-        count = line_partition(a, d).count
-        if count < best_count:
-            best_dir, best_count = d, count
-    assert best_dir is not None
-    return best_dir, best_count
+    _, pts = _over_common_denominator(a)
+    joined: Counter[tuple[int, ...]] = Counter()
+    for j, q in enumerate(pts):
+        joined.update({_primitive_int(tuple(map(sub, q, p))) for p in pts[:j]})
+    vec, count = min(joined.items(), key=lambda item: (-item[1], item[0]))
+    return Direction(vec), n - count
 
 
 def _shadow_basis(shadow: list[Point]) -> list[Point]:

@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .linalg import affine_rank, invert_matrix, mat_vec
@@ -108,18 +110,37 @@ def _require_pair(a: PointSet, b: PointSet) -> None:
         raise ValueError("set arithmetic requires nonempty operands")
 
 
+def _over_common_denominator(*sets: PointSet) -> tuple:
+    """(scale, integer points of each set): the points times the lcm of all denominators.
+
+    The scale is positive, so sums, differences, directions and lexicographic
+    order all carry over between the integer and the rational points.
+    """
+    scale = lcm(*{c.denominator for s in sets for p in s.points for c in p})
+    return (scale, *(
+        [tuple([c.numerator * (scale // c.denominator) for c in p]) for p in s.points]
+        for s in sets
+    ))
+
+
+def _from_integers(dim: int, scale: int, points: set[tuple[int, ...]]) -> PointSet:
+    """The set of points / scale, building one Fraction per distinct coordinate value."""
+    fracs = {x: Fraction(x, scale) for x in {x for p in points for x in p}}
+    return PointSet(dim, tuple(tuple(map(fracs.__getitem__, p)) for p in sorted(points)))
+
+
 def sumset(a: PointSet, b: PointSet) -> PointSet:
-    """All pairwise sums a + b, deduplicated exactly."""
+    """All pairwise sums a + b, deduplicated exactly (in integers over one denominator)."""
     _require_pair(a, b)
-    sums = {tuple(x + y for x, y in zip(p, q)) for p in a.points for q in b.points}
-    return PointSet(a.dim, tuple(sorted(sums)))
+    scale, pa, pb = _over_common_denominator(a, b)
+    return _from_integers(a.dim, scale, {tuple(map(add, p, q)) for p in pa for q in pb})
 
 
 def difference_set(a: PointSet, b: PointSet) -> PointSet:
-    """All pairwise differences a - b, deduplicated exactly."""
+    """All pairwise differences a - b, deduplicated exactly (in integers over one denominator)."""
     _require_pair(a, b)
-    diffs = {tuple(x - y for x, y in zip(p, q)) for p in a.points for q in b.points}
-    return PointSet(a.dim, tuple(sorted(diffs)))
+    scale, pa, pb = _over_common_denominator(a, b)
+    return _from_integers(a.dim, scale, {tuple(map(sub, p, q)) for p in pa for q in pb})
 
 
 def affine_dimension(a: PointSet) -> int:

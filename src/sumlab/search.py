@@ -207,6 +207,8 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
     """
     if spec.mode != EXHAUSTIVE:
         raise ValueError("exhaustive_min_diff needs an EXHAUSTIVE spec")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if spec.claim is not None and (spec.claim in _NEEDS_B or spec.claim in _NEEDS_L):
         raise ValueError(f"claim {spec.claim} needs operands exhaustive mode does not generate")
     points = lattice_points(spec.box)

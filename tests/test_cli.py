@@ -165,6 +165,14 @@ def test_search_budget_exit():
     assert code == 3
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_search_threads_below_one_is_usage_error(threads):
+    with pytest.raises(SystemExit) as info:
+        cli_dispatch(["search", "--mode", "exhaustive", "--d", "2", "--n", "4", "--box", "3",
+                      "--seed", "5", "--threads", threads])
+    assert info.value.code == 2
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         cli_dispatch(["claims", "--claim", "NOT_A_CLAIM", "--input", "x.json"])
@@ -192,6 +200,13 @@ def test_verify_deterministic_bytes():
     code2, out2 = run_cli(["verify", "--suite", "constructions", "--seed", "42", "--trials", "5"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_verify_matches_golden_report():
+    # the committed file pins the report bytes, not only their repeatability
+    code, out = run_cli(["verify", "--suite", "all", "--seed", "42"])
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "golden" / "verify_all_seed42.json").read_bytes()
 
 
 def test_diagnose(tmp_path):

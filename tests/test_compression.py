@@ -148,6 +148,11 @@ def test_trace_replay_and_serialization():
         trace.replay(pset(3, [(9, 9, 9), (8, 8, 8), (7, 7, 7), (6, 6, 6)]))
     rebuilt = CompressionTrace.from_json(trace.to_json())
     assert rebuilt.replay(a) == a2
+    for bad in (" 1.5", "1.5", 1.5):
+        blob = trace.to_json()
+        blob["steps"][0]["map"][0][1][0] = bad
+        with pytest.raises(ValueError):
+            CompressionTrace.from_json(blob)
     # every recorded step map matches a fresh compression of its own domain
     current = a
     if trace.initial_affine is not None:

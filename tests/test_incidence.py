@@ -82,6 +82,12 @@ def test_min_line_cover_grid_and_collinear():
     assert min_line_cover(collinear) == (Direction.of((1, 1)), 1)
 
 
+def test_min_line_cover_rejects_repeated_point():
+    # the raw constructor skips deduplication; a repeated point has no pair direction
+    with pytest.raises(ValueError, match="zero vector"):
+        min_line_cover(PointSet(2, ((1, 2), (1, 2), (3, 4))))
+
+
 def test_min_line_cover_exhaustiveness_small():
     # cross-check against every direction in a bounded integer window
     a = stan_doubling_tight(3, 4)

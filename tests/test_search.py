@@ -98,6 +98,12 @@ def test_exhaustive_threads_merge():
     assert sequential.witnesses == parallel.witnesses
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_exhaustive_rejects_threads_below_one(threads):
+    with pytest.raises(ValueError, match="threads"):
+        exhaustive_min_diff(spec(), threads=threads)
+
+
 def test_budget_guardrail():
     with pytest.raises(BudgetExceededError) as info:
         SearchSpec(2, 8, (9, 9), EXHAUSTIVE, seed=0, budget=10**6)
