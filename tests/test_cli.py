@@ -209,6 +209,41 @@ def test_verify_matches_golden_report():
     assert out.encode() == (Path(__file__).parent / "golden" / "verify_all_seed42.json").read_bytes()
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> argv; run from tests/golden so the input_sha256 keys are stable relative paths
+GOLDEN_RUNS = {
+    "search_exhaustive_d2_n5": [
+        "search", "--mode", "exhaustive", "--d", "2", "--n", "5", "--box", "3",
+        "--seed", "0", "--require-full-dim",
+    ],
+    "search_random_d3_main": [
+        "search", "--mode", "random", "--d", "3", "--n", "10", "--box", "4",
+        "--trials", "200", "--seed", "42", "--claim", "MAIN", "--as-conjecture",
+    ],
+    "reduce_a3": ["reduce", "--input", "inputs/a3.json", "--b", "inputs/b3.json", "--direction", "0,0,1"],
+    "reduce_a3_denormalize": [
+        "reduce", "--input", "inputs/a3.json", "--b", "inputs/b3.json", "--direction", "0,0,1",
+        "--denormalize",
+    ],
+    "compress_a2_b2": [
+        "compress", "--input", "inputs/a2.json", "--b", "inputs/b2.json",
+        "--normal", "1,2", "--offset", "1/2", "--direction", "1,-1",
+    ],
+    "lines_a3_cover": ["lines", "--input", "inputs/a3.json"],
+    "lines_a2_partition": ["lines", "--input", "inputs/a2.json", "--direction", "1,0"],
+    "diagnose_a3": ["diagnose", "--input", "inputs/a3.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_cli_matches_golden_report(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out = run_cli(GOLDEN_RUNS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
 def test_diagnose(tmp_path):
     run_cli(["construct", "stanchescu", "--d", "4", "--k", "3", "--out", str(tmp_path / "s.json")])
     code, out = run_cli(["diagnose", "--input", str(tmp_path / "s.json")])
