@@ -11,7 +11,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from ._version import __version__
 from .bounds import (
@@ -22,10 +21,10 @@ from .bounds import (
     check_claim,
     structure_diagnose,
 )
-from .compression import CompressionSpec, compress, reduce as reduce_lines
+from .compression import CompressionSpec, TraceStep, compress, reduce as reduce_lines
 from .constructions import CONSTRUCTIONS
 from .incidence import Direction, Hyperplane, line_partition, min_line_cover
-from .pointset import PointSet, affine_dimension, apply_affine, difference_set, sumset
+from .pointset import PointSet, affine_dimension, apply_affine, difference_set, parse_rational, sumset
 from .search import EXHAUSTIVE, RANDOM, BudgetExceededError, SearchSpec, exhaustive_min_diff, random_probe
 from .verify import SUITES, VerifySuite, verify_battery
 
@@ -51,10 +50,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(report: dict, args) -> None:
-    if getattr(args, "timestamps", False):
-        report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    text = json.dumps(report, indent=2) + "\n"
+def _emit(report: dict | str, args) -> None:
+    """Write a report to --out or stdout; dicts as indented JSON, strings (CSV) as they are."""
+    if isinstance(report, str):
+        text = report
+    else:
+        if getattr(args, "timestamps", False):
+            report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        text = json.dumps(report, indent=2) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -195,16 +198,14 @@ def _cmd_compress(args, hashes) -> tuple[dict, int]:
     report = {
         "spec": spec.to_json(),
         "result": image.to_json(),
-        "map": [
-            [[str(c) for c in pre], [str(c) for c in post]]
-            for pre, post in sorted(mapping.items())
-        ],
+        "map": TraceStep(spec, tuple(sorted(mapping.items()))).to_json()["map"],
     }
     if args.b:
         b = _load_pointset(args.b, hashes)
-        report["b_result"] = compress(b, spec)[0].to_json()
+        b_image = compress(b, spec)[0]
+        report["b_result"] = b_image.to_json()
         report["sum_before"] = len(sumset(a, b))
-        report["sum_after"] = len(sumset(image, PointSet.from_json(report["b_result"])))
+        report["sum_after"] = len(sumset(image, b_image))
     report["meta"] = _provenance(hashes)
     return report, 0
 
@@ -253,8 +254,8 @@ def _cmd_bounds(args, hashes) -> tuple[dict, int]:
         "r1": args.r1,
         "r2": args.r2,
         "a1": args.a1,
-        "eps": Fraction(args.eps) if args.eps else None,
-        "c_d": Fraction(args.cd) if args.cd else None,
+        "eps": parse_rational(args.eps) if args.eps else None,
+        "c_d": parse_rational(args.cd) if args.cd else None,
     }
     value = bound_value(args.claim, **params)
     report = {
@@ -355,14 +356,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except (BudgetExceededError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    if isinstance(report, str):
-        if getattr(args, "out", None):
-            with open(args.out, "w") as fh:
-                fh.write(report)
-        else:
-            sys.stdout.write(report)
-    else:
-        _emit(report, args)
+    _emit(report, args)
     return code
 
 

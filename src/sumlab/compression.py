@@ -11,11 +11,10 @@ point" while recording every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .incidence import Direction, Hyperplane, line_partition, project_along
-from .linalg import affine_rank, invert_matrix, mat_vec
-from .pointset import AffineMap, Point, PointSet, affine_dimension, apply_affine, parse_rational
+from .incidence import Direction, Hyperplane, line_partition
+from .linalg import affine_rank
+from .pointset import AffineMap, Point, PointSet, affine_dimension, apply_affine, parse_rational, unit
 
 
 @dataclass(frozen=True)
@@ -53,15 +52,12 @@ def compress(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, dict[Point, 
     v = spec.direction.vec
     h = spec.hyperplane
     nv = sum(n * x for n, x in zip(h.normal, v))
-    fibers: dict[Point, list[Point]] = {}
-    for p in a.points:
-        fibers.setdefault(project_along(p, spec.direction), []).append(p)
     mapping: dict[Point, Point] = {}
-    for members in fibers.values():
-        p0 = members[0]
+    for _, fiber in line_partition(a, spec.direction).classes:
+        p0 = fiber.points[0]
         t_star = (h.offset - h.value(p0)) / nv
         u = tuple(c + t_star * x for c, x in zip(p0, v))
-        ordered = sorted(members, key=lambda p: sum(c * x for c, x in zip(p, v)))
+        ordered = sorted(fiber.points, key=lambda p: sum(c * x for c, x in zip(p, v)))
         for j, p in enumerate(ordered):
             mapping[p] = tuple(c + j * x for c, x in zip(u, v))
     image = PointSet.of(a.dim, mapping.values())
@@ -140,12 +136,8 @@ class CompressionTrace:
 
 
 def _axis_spec(dim: int, axis: int) -> CompressionSpec:
-    normal = tuple(1 if i == axis else 0 for i in range(dim))
+    normal = unit(dim, axis)
     return CompressionSpec(Hyperplane.of(normal, 0), Direction.of(normal))
-
-
-def _unit(dim: int, axis: int) -> Point:
-    return tuple(Fraction(1 if i == axis else 0) for i in range(dim))
 
 
 def _assert_downclosed(a: PointSet) -> None:
@@ -186,10 +178,7 @@ def _normalizing_map(a: PointSet, l: Direction) -> AffineMap:
     columns = [tuple(x - y for x, y in zip(r, p0)) for r in rest]
     columns.append(tuple(x - y for x, y in zip(q, p0)))
     mat = tuple(tuple(columns[j][i] for j in range(d)) for i in range(d))
-    inv = invert_matrix(mat)
-    assert inv is not None
-    shift = tuple(-c for c in mat_vec(inv, p0))
-    return AffineMap(inv, shift)
+    return AffineMap(mat, p0).inverse
 
 
 def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, CompressionTrace]:
@@ -243,11 +232,10 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
         run(_axis_spec(d, axis))
 
     _assert_downclosed(x)
-    simplex = [tuple(Fraction(0) for _ in range(d))] + [_unit(d, i) for i in range(d)]
+    simplex = [(0,) * d] + [unit(d, i) for i in range(d)]
     assert all(p in x for p in simplex)
 
-    e_first = tuple(1 if i == 0 else 0 for i in range(d))
-    slab_plane = Hyperplane.of(e_first, 0)
+    slab_plane = Hyperplane.of(unit(d, 0), 0)
     while True:
         slab_count = 1 + max(p[0] for p in x.points)
         assert slab_count >= 2
@@ -269,14 +257,13 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
     return x, y, CompressionTrace(tuple(steps), transform)
 
 
-def _unit_scaled(dim: int, axis: int, t: int) -> Point:
-    return tuple(Fraction(t if i == axis else 0) for i in range(dim))
-
-
 def _assert_reduced(x: PointSet, s: int, d: int) -> None:
-    part = line_partition(x, Direction.of(tuple(1 if i == d - 1 else 0 for i in range(d))))
-    assert part.count == s, f"line count changed: {part.count} != {s}"
-    assert affine_dimension(x) == d
-    off_slab = [cls for key, cls in part.classes if key[0] != 0]
-    assert len(off_slab) == 1
-    assert len(off_slab[0]) == 1 and off_slab[0].points[0] == _unit_scaled(d, 0, 1)
+    """Raise unless x has s lines along e_d, spans Q^d and meets {x_1 != 0} only in e_1."""
+    part = line_partition(x, Direction.of(unit(d, d - 1)))
+    dim = affine_dimension(x)
+    off_slab = [cls.points for key, cls in part.classes if key[0] != 0]
+    if part.count != s or dim != d or off_slab != [(unit(d, 0),)]:
+        raise RuntimeError(
+            f"reduction postcondition failed: {part.count} lines (want {s}), "
+            f"affine dimension {dim} (want {d}), off-slab lines {off_slab}"
+        )

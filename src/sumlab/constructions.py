@@ -10,15 +10,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .pointset import PointSet
+from .pointset import PointSet, unit
 
 
-def _unit(dim: int, axis: int) -> tuple[int, ...]:
-    return tuple(1 if i == axis else 0 for i in range(dim))
-
-
-def _zero(dim: int) -> tuple[int, ...]:
-    return (0,) * dim
+def _parallel_aps(bases: list, step: tuple[int, ...], lengths: Sequence[int]) -> list[tuple[int, ...]]:
+    """The progressions base, base + step, ..., one per base, of the paired lengths."""
+    return [
+        tuple(x + j * y for x, y in zip(base, step))
+        for base, n in zip(bases, lengths)
+        for j in range(n)
+    ]
 
 
 def stanchescu_dk(d: int, k: int) -> PointSet:
@@ -30,16 +31,10 @@ def stanchescu_dk(d: int, k: int) -> PointSet:
     """
     if d < 2 or k < 1:
         raise ValueError("need d >= 2 and k >= 1")
-    t_block = [_zero(d)] + [_unit(d, i) for i in range(d - 2)]
-    a_k = tuple(x - k * y for x, y in zip(_unit(d, d - 1), _unit(d, d - 2)))
+    t_block = [(0,) * d] + [unit(d, i) for i in range(d - 2)]
+    a_k = tuple(x - k * y for x, y in zip(unit(d, d - 1), unit(d, d - 2)))
     mirrored = [tuple(x - y for x, y in zip(a_k, t)) for t in t_block]
-    step = _unit(d, d - 2)
-    points = [
-        tuple(x + j * y for x, y in zip(base, step))
-        for base in t_block + mirrored
-        for j in range(k)
-    ]
-    out = PointSet.of(d, points)
+    out = PointSet.of(d, _parallel_aps(t_block + mirrored, unit(d, d - 2), [k] * (2 * d - 2)))
     assert len(out) == 2 * (d - 1) * k
     return out
 
@@ -54,16 +49,8 @@ def freiman_aps(d: int, lengths: Sequence[int]) -> PointSet:
         raise ValueError("need d >= 1")
     if len(lengths) != d or any(n < 1 for n in lengths):
         raise ValueError("lengths must be d positive integers")
-    if d == 1:
-        return PointSet.of(1, [(j,) for j in range(lengths[0])])
-    bases = [_zero(d)] + [_unit(d, i) for i in range(d - 1)]
-    step = _unit(d, d - 1)
-    points = [
-        tuple(x + j * y for x, y in zip(base, step))
-        for base, n in zip(bases, lengths)
-        for j in range(n)
-    ]
-    return PointSet.of(d, points)
+    bases = [(0,) * d] + [unit(d, i) for i in range(d - 1)]
+    return PointSet.of(d, _parallel_aps(bases, unit(d, d - 1), lengths))
 
 
 def stan_doubling_tight(d: int, n: int) -> PointSet:
@@ -81,7 +68,7 @@ def stan_doubling_tight(d: int, n: int) -> PointSet:
         for i in range(n)
         for j in range(3)
     ]
-    points += [_unit(d, axis) for axis in range(2, d)]
+    points += [unit(d, axis) for axis in range(2, d)]
     out = PointSet.of(d, points)
     assert len(out) == 3 * n + d - 2
     return out

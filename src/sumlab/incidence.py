@@ -11,7 +11,7 @@ from operator import sub
 from typing import Sequence
 
 from .linalg import affine_rank, kernel_vector, matrix_rank
-from .pointset import Point, PointSet, _over_common_denominator, format_rational, parse_rational
+from .pointset import Point, PointSet, _coerce_coord, _over_common_denominator, coerce_point, format_rational
 
 
 def _primitive_int(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -24,9 +24,9 @@ def _primitive_int(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 def _primitive(vec: Sequence) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive, sign-canonical integer vector."""
-    fracs = [Fraction(x) for x in vec]
+    fracs = coerce_point(vec)
     scale = lcm(*(f.denominator for f in fracs))
-    return _primitive_int(tuple(int(f * scale) for f in fracs))
+    return _primitive_int(tuple(f.numerator * (scale // f.denominator) for f in fracs))
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class Direction:
 
     @classmethod
     def of(cls, vec: Sequence) -> "Direction":
-        coords = [parse_rational(x) if isinstance(x, str) else Fraction(x) for x in vec]
-        return cls(_primitive(coords))
+        return cls(_primitive(vec))
 
     def to_json(self) -> dict:
         return {"vec": [str(x) for x in self.vec]}
@@ -57,20 +56,13 @@ class Hyperplane:
 
     @classmethod
     def of(cls, normal: Sequence, offset) -> "Hyperplane":
-        fracs = [parse_rational(x) if isinstance(x, str) else Fraction(x) for x in normal]
-        off = parse_rational(offset) if isinstance(offset, str) else Fraction(offset)
-        if all(f == 0 for f in fracs):
+        fracs = coerce_point(normal)
+        off = _coerce_coord(offset)
+        if not any(fracs):
             raise ValueError("zero normal")
-        scale = lcm(*(f.denominator for f in fracs))
-        ints = [int(f * scale) for f in fracs]
-        g = gcd(*ints)
-        ints = [x // g for x in ints]
-        off = off * scale / g
-        first = next(x for x in ints if x != 0)
-        if first < 0:
-            ints = [-x for x in ints]
-            off = -off
-        return cls(tuple(ints), off)
+        ints = _primitive(fracs)
+        i = next(i for i, f in enumerate(fracs) if f)
+        return cls(ints, off * ints[i] / fracs[i])
 
     def value(self, p: Point) -> Fraction:
         return sum((n * c for n, c in zip(self.normal, p)), Fraction(0))

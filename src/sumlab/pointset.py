@@ -57,6 +57,11 @@ def coerce_point(coords: Sequence, dim: int | None = None) -> Point:
     return pt
 
 
+def unit(dim: int, axis: int) -> tuple[int, ...]:
+    """The standard basis vector e_axis of Z^dim (equal, as a tuple, to its Fraction form)."""
+    return tuple(1 if i == axis else 0 for i in range(dim))
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Deduplicated, lexicographically ordered finite subset of Q^dim."""
@@ -180,8 +185,7 @@ class AffineMap:
 
     @classmethod
     def identity(cls, dim: int) -> "AffineMap":
-        eye = tuple(tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim))
-        return cls(eye, tuple(Fraction(0) for _ in range(dim)))
+        return cls.of([unit(dim, i) for i in range(dim)], (0,) * dim)
 
     def apply(self, p: Point) -> Point:
         return tuple(x + t for x, t in zip(mat_vec(self.matrix, p), self.translation))

@@ -148,8 +148,9 @@ def diff_count(points: Sequence[IntPoint]) -> int:
     return len(diffs)
 
 
-def _child_rng(seed: int, index: int) -> random.Random:
-    digest = hashlib.sha256(f"{seed}/{index}".encode()).digest()
+def _seeded_rng(key: str) -> random.Random:
+    """A generator seeded from the first 8 bytes of sha256(key)."""
+    digest = hashlib.sha256(key.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -230,13 +231,17 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
         violations.extend(viols)
         if value == best:
             witnesses.update(wits)
-    witness_sets = tuple(
-        PointSet.of(spec.d, w) for w in sorted(witnesses)[: spec.witness_cap]
-    )
+    return _search_result(spec, best, witnesses, examined, violations)
+
+
+def _search_result(spec: SearchSpec, best: int, witnesses: set, examined: int, violations: list) -> SearchResult:
+    """The result with the first witness_cap witnesses, each re-checked to attain best."""
+    witness_sets = tuple(PointSet.of(spec.d, w) for w in sorted(witnesses)[: spec.witness_cap])
     for w in witness_sets:
-        assert len(difference_set(w, w)) == best
-        if spec.require_full_dim:
-            assert affine_rank(w.points) == spec.d
+        if len(difference_set(w, w)) != best:
+            raise RuntimeError(f"witness {w.to_json()} does not have |W - W| = {best}")
+        if spec.require_full_dim and affine_rank(w.points) != spec.d:
+            raise RuntimeError(f"witness {w.to_json()} does not span dimension {spec.d}")
     return SearchResult(spec, best, witness_sets, examined, tuple(violations))
 
 
@@ -314,14 +319,13 @@ def random_probe(spec: SearchSpec) -> SearchResult:
     """
     if spec.mode != RANDOM:
         raise ValueError("random_probe needs a RANDOM spec")
-    assert spec.trials is not None
     uniform = len(set(spec.box)) == 1
     best = None
     witnesses: set[tuple[IntPoint, ...]] = set()
     violations: list[ClaimReport] = []
     examined = 0
     for trial in range(spec.trials):
-        rng = _child_rng(spec.seed, trial)
+        rng = _seeded_rng(f"{spec.seed}/{trial}")
         pts = _sample_points(rng, spec.box, spec.n)
         if spec.require_full_dim:
             attempts = 0
@@ -342,10 +346,4 @@ def random_probe(spec: SearchSpec) -> SearchResult:
             report = _check_candidate_claim(spec, sorted(pts), rng)
             if report.verdict == COUNTEREXAMPLE:
                 violations.append(report)
-    assert best is not None
-    witness_sets = tuple(PointSet.of(spec.d, w) for w in sorted(witnesses)[: spec.witness_cap])
-    for w in witness_sets:
-        assert len(difference_set(w, w)) == best
-        if spec.require_full_dim:
-            assert affine_rank(w.points) == spec.d
-    return SearchResult(spec, best, witness_sets, examined, tuple(violations))
+    return _search_result(spec, best, witnesses, examined, violations)

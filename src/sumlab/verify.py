@@ -7,7 +7,6 @@ deterministic for a fixed (suite, trials, seed, dims) configuration.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,8 @@ from .bounds import CONSISTENT, COUNTEREXAMPLE, check_claim
 from .compression import CompressionSpec, compress_pair, reduce as reduce_lines
 from .constructions import dlines_general_position, freiman_aps, stan_doubling_tight, stanchescu_dk
 from .incidence import Direction, Hyperplane, line_partition, min_line_cover, project_along
-from .pointset import PointSet, affine_dimension, difference_set, sumset
+from .pointset import PointSet, affine_dimension, difference_set, sumset, unit
+from . import search
 from .search import EXHAUSTIVE, RANDOM, SearchSpec, exhaustive_min_diff, random_probe
 
 SUITES = ("constructions", "compression", "reduce", "claims", "search", "all")
@@ -39,23 +39,11 @@ class VerifySuite:
             raise ValueError("dims must be a nonempty subset of {2,...,6}")
 
 
-def _rng(cfg: VerifySuite, label: str) -> random.Random:
-    digest = hashlib.sha256(f"{cfg.seed}:{label}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
 def _sample_set(rng: random.Random, d: int, count: int, box: int) -> PointSet:
     pts = set()
     while len(pts) < count:
         pts.add(tuple(rng.randint(0, box) for _ in range(d)))
     return PointSet.of(d, pts)
-
-
-def _random_direction(rng: random.Random, d: int) -> Direction:
-    while True:
-        vec = tuple(rng.randint(-3, 3) for _ in range(d))
-        if any(vec):
-            return Direction.of(vec)
 
 
 def _check(name: str, failures: list, extra: dict | None = None) -> dict:
@@ -69,7 +57,7 @@ def suite_constructions(cfg: VerifySuite) -> list[dict]:
     checks = []
 
     failures = []
-    for d in [x for x in cfg.dims if x <= 6]:
+    for d in cfg.dims:
         for k in range(1, 9):
             a = stanchescu_dk(d, k)
             if len(a) != 2 * (d - 1) * k:
@@ -88,7 +76,7 @@ def suite_constructions(cfg: VerifySuite) -> list[dict]:
 
     failures = []
     notes = []
-    for d in [x for x in cfg.dims if x >= 2]:
+    for d in cfg.dims:
         for n in range(2, 7):
             a = stan_doubling_tight(d, n)
             got = len(sumset(a, a))
@@ -150,7 +138,7 @@ def suite_compression(cfg: VerifySuite) -> list[dict]:
     dims = [d for d in cfg.dims if d in (2, 3)] or [2, 3]
     mono_failures = []
     proj_failures = []
-    rng = _rng(cfg, "compression")
+    rng = search._seeded_rng(f"{cfg.seed}:compression")
     for i in range(cfg.trials):
         d = dims[i % len(dims)]
         a, b, spec = random_compression_instance(rng, d)
@@ -214,8 +202,7 @@ def reduce_properties_hold(a: PointSet, b: PointSet, l: Direction) -> list[str]:
         problems.append("cardinality")
     if len(sumset(a2, b2)) > len(sumset(a, b)):
         problems.append("sumset grew")
-    axis = Direction.of(tuple(1 if i == d - 1 else 0 for i in range(d)))
-    part = line_partition(a2, axis)
+    part = line_partition(a2, Direction.of(unit(d, d - 1)))
     if part.count != s:
         problems.append(f"line count {part.count} != {s}")
     if affine_dimension(a2) != d:
@@ -235,7 +222,7 @@ def reduce_properties_hold(a: PointSet, b: PointSet, l: Direction) -> list[str]:
 
 def suite_reduce(cfg: VerifySuite) -> list[dict]:
     dims = [d for d in cfg.dims if d in (2, 3)] or [2, 3]
-    rng = _rng(cfg, "reduce")
+    rng = search._seeded_rng(f"{cfg.seed}:reduce")
     failures = []
     for i in range(cfg.trials):
         d = dims[i % len(dims)]
@@ -256,18 +243,18 @@ def suite_reduce(cfg: VerifySuite) -> list[dict]:
 
 def suite_claims(cfg: VerifySuite) -> list[dict]:
     checks = []
-    rng = _rng(cfg, "claims-gs")
+    rng = search._seeded_rng(f"{cfg.seed}:claims-gs")
     failures = []
     for i in range(cfg.trials):
         a = _sample_set(rng, 2, rng.randint(2, 10), 5)
         b = _sample_set(rng, 2, rng.randint(1, 8), 5)
-        l = _random_direction(rng, 2)
+        l = search._random_direction(rng, 2)
         report = check_claim("GS_LINES", a, b, l)
         if report.verdict == COUNTEREXAMPLE:
             failures.append(report.to_json())
     checks.append(_check("gs_lines_random", failures, {"trials": cfg.trials}))
 
-    rng = _rng(cfg, "claims-unconditional")
+    rng = search._seeded_rng(f"{cfg.seed}:claims-unconditional")
     failures = []
     for i in range(max(1, cfg.trials // 4)):
         d = [2, 3][i % 2]

@@ -101,6 +101,34 @@ def test_bounds():
     assert blob["subtracted_radical"]["coefficient"] == "8"
 
 
+def test_bounds_eps_and_cd():
+    code, out = run_cli(["bounds", "--claim", "LINES_4D", "--d", "4", "--n", "10", "--eps", "1/10", "--cd", "2"])
+    blob = json.loads(out)
+    assert code == 0 and blob["value"] == "187/3" and blob["params"]["eps"] == "1/10"
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", " 1/10"), ("--eps", "1e1"), ("--eps", "0.1"), ("--cd", "2.0"), ("--cd", "2 ")])
+def test_bounds_rejects_lax_rationals(flag, value):
+    argv = {"--eps": "1/10", "--cd": "2", flag: value}
+    code, _ = run_cli(["bounds", "--claim", "LINES_4D", "--d", "4", "--n", "10", *sum(argv.items(), ())])
+    assert code == 3
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["compress", "--normal", "1.0,0", "--offset", "0", "--direction", "1,-1"],
+        ["compress", "--normal", "1,0", "--offset", "0.0", "--direction", "1,-1"],
+        ["compress", "--normal", "1,0", "--offset", "0", "--direction", "1,-1.0"],
+        ["lines", "--direction", "0.0,1"],
+        ["reduce", "--direction", "0,1.5"],
+    ],
+)
+def test_float_direction_normal_offset_exit_code(square, command):
+    code, _ = run_cli([*command, "--input", square])
+    assert code == 3
+
+
 def test_claims_json_and_exit(tmp_path):
     code, out = run_cli(["construct", "stanchescu", "--d", "3", "--k", "2", "--out", str(tmp_path / "s.json")])
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -163,6 +164,23 @@ def test_trace_replay_and_serialization():
         image, mapping = compress(current, step.spec)
         assert tuple(sorted(mapping.items())) == step.mapping
         current = image
+
+
+def test_trace_from_json_rejects_float_direction_and_hyperplane():
+    square = pset(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    _, _, trace = reduce(square, pset(2, [(0, 0)]), E2)
+    step = trace.to_json()["steps"][0]
+    floats = {
+        "vec": [float(x) for x in step["direction"]["vec"]],
+        "normal": [float(x) for x in step["hyperplane"]["normal"]],
+        "offset": float(Fraction(step["hyperplane"]["offset"])),
+    }
+    for key, value in floats.items():
+        blob = trace.to_json()
+        raw = blob["steps"][0]
+        (raw["direction"] if key == "vec" else raw["hyperplane"])[key] = value
+        with pytest.raises(ValueError, match="float"):
+            CompressionTrace.from_json(blob)
 
 
 def test_reduce_monotone_sumset():

@@ -38,6 +38,42 @@ def test_hyperplane_canonicalization():
     assert h.normal == (0, 1) and h.offset == 2
     assert h == Hyperplane.of((0, 1), 2)
     assert h.to_json() == {"normal": ["0", "1"], "offset": "2"}
+    with pytest.raises(ValueError, match="zero normal"):
+        Hyperplane.of((0, 0), 1)
+
+
+def test_hyperplane_scales_offset_with_normal():
+    # {x : normal . x = offset} is kept: (normal, offset) -> (c normal, c offset) for one c != 0
+    rng = random.Random(7)
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        normal = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(d)]
+        if not any(normal):
+            continue
+        offset = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        h = Hyperplane.of(normal, offset)
+        c = next(n for n in h.normal if n) / next(n for n in normal if n)
+        assert h.normal == tuple(c * n for n in normal) and h.offset == c * offset
+        assert h.normal == Direction.of(normal).vec
+
+
+@pytest.mark.parametrize("vec", [(1.5, 1), (0.0, 1.0), (1, 0.0), ("1.5", "1"), (" 1", "0")])
+def test_direction_rejects_floats_and_lax_strings(vec):
+    with pytest.raises(ValueError):
+        Direction.of(vec)
+    with pytest.raises(ValueError):
+        Direction.from_json({"vec": list(vec)})
+
+
+@pytest.mark.parametrize(
+    "normal, offset",
+    [((1.0, 0), 0), ((1, 0.5), 0), ((1, 0), 0.0), ((1, 0), 0.5), (("1", "0"), "0.5"), (("1", "0"), " 1")],
+)
+def test_hyperplane_rejects_floats_and_lax_strings(normal, offset):
+    with pytest.raises(ValueError):
+        Hyperplane.of(normal, offset)
+    with pytest.raises(ValueError):
+        Hyperplane.from_json({"normal": list(normal), "offset": offset})
 
 
 def test_line_partition_examples():

@@ -28,7 +28,7 @@ def test_canonical_form_translation_and_permutation():
     assert canon == ((0, 0), (0, 1), (1, 0))
     assert min(c[0] for c in canon) == 0 and min(c[1] for c in canon) == 0
     # |A - A| invariant under the canonical group
-    assert diff_count(pts) == diff_count(canon)
+    assert diff_count(pts) == diff_count(canon) == oracle_diff_count(canon)
 
 
 def test_canonical_group_preserves_difference_count():
@@ -40,7 +40,7 @@ def test_canonical_group_preserves_difference_count():
         rng.shuffle(perm)
         shift = tuple(rng.randint(-3, 3) for _ in range(d))
         moved = [tuple(p[i] + shift[i] for i in perm) for p in pts]
-        assert diff_count(pts) == diff_count(moved)
+        assert diff_count(pts) == diff_count(moved) == oracle_diff_count(moved)
         assert canonical_form(pts) == canonical_form(moved)
 
 
