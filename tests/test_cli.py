@@ -261,6 +261,8 @@ GOLDEN_RUNS = {
     "lines_a3_cover": ["lines", "--input", "inputs/a3.json"],
     "lines_a2_partition": ["lines", "--input", "inputs/a2.json", "--direction", "1,0"],
     "diagnose_a3": ["diagnose", "--input", "inputs/a3.json"],
+    # d=4: the shadow along the cover direction has rank 3
+    "diagnose_a4": ["diagnose", "--input", "inputs/a4.json"],
 }
 
 
