@@ -11,9 +11,10 @@ point" while recording every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .incidence import Direction, Hyperplane, line_partition
-from .linalg import affine_rank
+from .linalg import greedy_basis
 from .pointset import AffineMap, Point, PointSet, affine_dimension, apply_affine, parse_rational, unit
 
 
@@ -61,7 +62,8 @@ def compress(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, dict[Point, 
         for j, p in enumerate(ordered):
             mapping[p] = tuple(c + j * x for c, x in zip(u, v))
     image = PointSet.of(a.dim, mapping.values())
-    assert len(image) == len(a)
+    if len(image) != len(a):
+        raise RuntimeError(f"compression postcondition failed: {len(a)} points went to {len(image)}")
     return image, mapping
 
 
@@ -145,11 +147,11 @@ def _assert_downclosed(a: PointSet) -> None:
     for p in a.points:
         for i, c in enumerate(p):
             if c.denominator != 1 or c < 0:
-                raise AssertionError(f"expected nonnegative integer coordinates, got {p}")
+                raise RuntimeError(f"expected nonnegative integer coordinates, got {p}")
             if c > 0:
                 below = p[:i] + (c - 1,) + p[i + 1 :]
                 if below not in members:
-                    raise AssertionError(f"set is not down-closed at {p}, axis {i}")
+                    raise RuntimeError(f"set is not down-closed at {p}, axis {i}")
 
 
 def _normalizing_map(a: PointSet, l: Direction) -> AffineMap:
@@ -161,23 +163,10 @@ def _normalizing_map(a: PointSet, l: Direction) -> AffineMap:
     rich = [cls for _, cls in part.classes if len(cls) >= 2]
     fiber = min(rich, key=lambda c: c.points[0])
     lv = l.vec
-    by_param = sorted(fiber.points, key=lambda p: sum(c * x for c, x in zip(p, lv)))
-    chosen: list[Point] = [by_param[0], by_param[1]]
-    taken = set(chosen)
-    for x in a.points:
-        if len(chosen) == d + 1:
-            break
-        if x in taken:
-            continue
-        if affine_rank(chosen + [x]) > affine_rank(chosen):
-            chosen.append(x)
-            taken.add(x)
-    assert len(chosen) == d + 1
-    p0, q = chosen[0], chosen[1]
-    rest = chosen[2:]
-    columns = [tuple(x - y for x, y in zip(r, p0)) for r in rest]
-    columns.append(tuple(x - y for x, y in zip(q, p0)))
-    mat = tuple(tuple(columns[j][i] for j in range(d)) for i in range(d))
+    p0, q = sorted(fiber.points, key=lambda p: sum(c * x for c, x in zip(p, lv)))[:2]
+    along, *rest = greedy_basis(tuple(map(sub, x, p0)) for x in (q, *a.points))
+    columns = [*rest, along]
+    mat = tuple(tuple(col[i] for col in columns) for i in range(d))
     return AffineMap(mat, p0).inverse
 
 
@@ -232,13 +221,15 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
         run(_axis_spec(d, axis))
 
     _assert_downclosed(x)
-    simplex = [(0,) * d] + [unit(d, i) for i in range(d)]
-    assert all(p in x for p in simplex)
+    missing = [p for p in [(0,) * d] + [unit(d, i) for i in range(d)] if p not in x]
+    if missing:
+        raise RuntimeError(f"axis compressions lost the unit simplex points {missing}")
 
     slab_plane = Hyperplane.of(unit(d, 0), 0)
     while True:
         slab_count = 1 + max(p[0] for p in x.points)
-        assert slab_count >= 2
+        if slab_count < 2:
+            raise RuntimeError("the set lies in one slab along the first axis")
         anchors = [p for p in x.points if p[0] == 0 and p[-1] == 0]
         w = max(anchors, key=lambda p: (sum(p[1:-1]), p))
         f = tuple(1 if i == 0 else -w[i] for i in range(d))
@@ -246,7 +237,8 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
         if slab_count == 2:
             break
         new_count = 1 + max(p[0] for p in x.points)
-        assert new_count < slab_count, "slab count must strictly decrease"
+        if new_count >= slab_count:
+            raise RuntimeError(f"slab count must strictly decrease, went {slab_count} to {new_count}")
 
     axis_heights = [p[-1] for p in x.points if all(c == 0 for c in p[:-1]) and p[-1] >= 1]
     run_top = max(axis_heights)

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import sub
+from operator import mul, sub
 from typing import Sequence
 
-from .linalg import affine_rank, kernel_vector, matrix_rank
+from .linalg import greedy_basis, kernel_vector
 from .pointset import Point, PointSet, _coerce_coord, _over_common_denominator, coerce_point, format_rational
 
 
@@ -142,40 +141,75 @@ def min_line_cover(a: PointSet) -> tuple[Direction, int]:
     return Direction(vec), n - count
 
 
-def _shadow_basis(shadow: list[Point]) -> list[Point]:
+def _shadow_basis(shadow: Sequence[Sequence]) -> list:
     """Greedy basis of the difference space of the projected set."""
     base = shadow[0]
-    basis: list[Point] = []
-    for q in shadow[1:]:
-        diff = tuple(x - y for x, y in zip(q, base))
-        if matrix_rank(basis + [diff]) > len(basis):
-            basis.append(diff)
-    return basis
+    return greedy_basis(tuple(map(sub, q, base)) for q in shadow[1:])
 
 
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
 
 
-def _hull_2d(coords: list[tuple[Fraction, Fraction]]) -> list[int]:
-    """Indices of hull vertices in counterclockwise order (monotone chain, strict turns)."""
-    order = sorted(range(len(coords)), key=lambda i: coords[i])
+def _turn(
+    pts: Sequence[tuple[int, ...]], n: tuple[int, ...], c: int, m: tuple[int, ...], cm: int
+) -> tuple[tuple[int, ...], int]:
+    """Rotate the supporting hyperplane n.x = c about its intersection with m.x = cm.
 
-    def cross(o, a, b):
-        (ox, oy), (ax, ay), (bx, by) = coords[o], coords[a], coords[b]
-        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+    m.x <= cm must hold on the points of n.x = c.  Among the points below the
+    hyperplane, the one with the largest (m.p - cm) / (c - n.p) is met first;
+    the returned primitive (normal, offset) passes through it and still has
+    every point on the side n.x <= c had.
+    """
+    b, a = -1, 0
+    for p in pts:
+        below = c - _dot(n, p)
+        if below:
+            rise = _dot(m, p) - cm
+            if a == 0 or rise * a > b * below:
+                b, a = rise, below
+    normal = tuple(b * x + a * y for x, y in zip(n, m))
+    g = gcd(*normal)
+    return tuple(x // g for x in normal), (b * c + a * cm) // g
 
-    lower: list[int] = []
-    for i in order:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(order):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 0:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
+
+def _facets(pts: list[tuple[int, ...]]) -> set[tuple[tuple[int, ...], int]]:
+    """Facets of the convex hull of integer points, relative to their affine hull.
+
+    Gift wrapping (Chand & Kapur 1970): each facet is a primitive outward
+    (normal, offset), with normal.p <= offset on every point and the normal
+    in the span of the points' differences.  The first facet comes from the
+    face maximising basis[0], turned about itself until it spans a facet;
+    every facet then hands its neighbours over its ridges, which are the
+    facets of its own face one rank lower.  Rank 1 is the base case: the
+    two endpoints.
+    """
+    basis = _shadow_basis(pts)
+    if len(basis) == 1:
+        u = _primitive_int(basis[0])
+        values = [_dot(u, p) for p in pts]
+        return {(u, max(values)), (tuple(-x for x in u), -min(values))}
+    n = _primitive_int(basis[0])
+    c = max(_dot(n, p) for p in pts)
+    while True:
+        face = [p for p in pts if _dot(n, p) == c]
+        face_basis = _shadow_basis(face)
+        if len(face_basis) == len(basis) - 1:
+            break
+        # m is constant on the face and orthogonal to n, so turning about it tilts n
+        coeffs = kernel_vector([[_dot(v, b) for b in basis] for v in [*face_basis, n]], len(basis))
+        m = _primitive([sum(x * b[i] for x, b in zip(coeffs, basis)) for i in range(len(n))])
+        n, c = _turn(pts, n, c, m, _dot(m, face[0]))
+    found = {(n, c)}
+    todo = [(n, c)]
+    while todo:
+        n, c = todo.pop()
+        for m, cm in _facets([p for p in pts if _dot(n, p) == c]):
+            facet = _turn(pts, n, c, m, cm)
+            if facet not in found:
+                found.add(facet)
+                todo.append(facet)
+    return found
 
 
 def supporting_hyperplanes(a: PointSet, l: Direction) -> list[Hyperplane]:
@@ -184,70 +218,21 @@ def supporting_hyperplanes(a: PointSet, l: Direction) -> list[Hyperplane]:
     The shadow is the exact projection of the set along l; every returned
     hyperplane has normal orthogonal to l, touches the set in a full facet of
     the shadow's convex hull, and keeps the whole set on one closed side.
+    The facets are enumerated on the shadow scaled to integers: the points
+    over their common denominator, projected as p |l|^2 - (p . l) l.
     """
     if not a.points:
         raise ValueError("empty set")
     if len(l.vec) != a.dim:
         raise ValueError("direction dimension mismatch")
-    shadow = sorted({project_along(p, l) for p in a.points})
+    scale, pts = _over_common_denominator(a)
+    lv = l.vec
+    norm = _dot(lv, lv)
+    shadow = sorted({tuple(x * norm - t * y for x, y in zip(p, lv)) for p in pts for t in (_dot(p, lv),)})
     if len(shadow) == 1:
         raise ValueError("set projects to a single point along this direction")
-    basis = _shadow_basis(shadow)
-    k = len(basis)
-    q0 = shadow[0]
-    found: set[Hyperplane] = set()
-
-    if k == 1:
-        u = basis[0]
-        j = next(i for i, x in enumerate(u) if x != 0)
-        params = [(q[j] - q0[j]) / u[j] for q in shadow]
-        for extreme in (shadow[params.index(min(params))], shadow[params.index(max(params))]):
-            found.add(Hyperplane.of(u, _dot(u, extreme)))
-    elif k == 2:
-        coords = [_planar_coords(q, q0, basis) for q in shadow]
-        hull = _hull_2d(coords)
-        for idx in range(len(hull)):
-            qa = shadow[hull[idx]]
-            qb = shadow[hull[(idx + 1) % len(hull)]]
-            delta = tuple(x - y for x, y in zip(qb, qa))
-            g0, g1 = _dot(basis[0], delta), _dot(basis[1], delta)
-            normal = tuple(g1 * b0 - g0 * b1 for b0, b1 in zip(basis[0], basis[1]))
-            found.add(Hyperplane.of(normal, _dot(normal, qa)))
-    else:
-        for subset in itertools.combinations(shadow, k):
-            if affine_rank(subset) != k - 1:
-                continue
-            s0 = subset[0]
-            rows = [
-                [_dot(tuple(x - y for x, y in zip(s, s0)), b) for b in basis]
-                for s in subset[1:]
-            ]
-            coeffs = kernel_vector(rows, k)
-            if coeffs is None:
-                continue
-            normal = tuple(
-                sum((c * b[i] for c, b in zip(coeffs, basis)), Fraction(0))
-                for i in range(a.dim)
-            )
-            c0 = _dot(normal, s0)
-            vals = [_dot(normal, q) for q in shadow]
-            if all(v <= c0 for v in vals) or all(v >= c0 for v in vals):
-                found.add(Hyperplane.of(normal, c0))
-
-    return sorted(found, key=lambda h: (h.normal, h.offset))
-
-
-def _planar_coords(q: Point, q0: Point, basis: list[Point]) -> tuple[Fraction, Fraction]:
-    """Coordinates of q - q0 in the 2-dimensional difference basis (exact solve)."""
-    diff = tuple(x - y for x, y in zip(q, q0))
-    b0, b1 = basis
-    for i, j in itertools.combinations(range(len(q)), 2):
-        det = b0[i] * b1[j] - b0[j] * b1[i]
-        if det != 0:
-            alpha = (diff[i] * b1[j] - diff[j] * b1[i]) / det
-            beta = (b0[i] * diff[j] - b0[j] * diff[i]) / det
-            return alpha, beta
-    raise AssertionError("degenerate basis")
+    hs = (Hyperplane.of(n, Fraction(c, scale * norm)) for n, c in _facets(shadow))
+    return sorted(hs, key=lambda h: (h.normal, h.offset))
 
 
 def major_hyperplane(a: PointSet, l: Direction) -> Hyperplane:

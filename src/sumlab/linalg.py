@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from operator import sub
+from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -39,18 +40,32 @@ def rref(mat: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
-def matrix_rank(mat: Sequence[Sequence]) -> int:
-    if not mat:
-        return 0
-    return len(rref(mat)[1])
+def greedy_basis(vectors: Iterable[Sequence]) -> list:
+    """The vectors, in order, that lie outside the span of those kept before them.
+
+    Each kept vector is stored reduced against the earlier ones, with its
+    pivot column, so one pass decides membership in their span (incremental
+    elimination, fraction-free).  Stops once the kept vectors span the space.
+    """
+    kept: list = []
+    reduced: list[tuple[int, list]] = []
+    for v in vectors:
+        r = list(v)
+        for col, row in reduced:
+            if r[col]:
+                r = [row[col] * x - r[col] * y for x, y in zip(r, row)]
+        pivot = next((i for i, x in enumerate(r) if x), None)
+        if pivot is not None:
+            reduced.append((pivot, r))
+            kept.append(v)
+            if len(kept) == len(r):
+                break
+    return kept
 
 
 def affine_rank(points: Sequence[Sequence]) -> int:
     """Rank of the difference system {p - points[0]}; 0 for a single point."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return matrix_rank([[Fraction(x) - Fraction(y) for x, y in zip(p, base)] for p in points[1:]])
+    return len(greedy_basis(tuple(map(sub, p, points[0])) for p in points[1:]))
 
 
 def invert_matrix(mat: Sequence[Sequence]) -> Matrix | None:
@@ -68,10 +83,6 @@ def invert_matrix(mat: Sequence[Sequence]) -> Matrix | None:
 
 def kernel_vector(mat: Sequence[Sequence], ncols: int) -> Vector | None:
     """One nonzero kernel vector of the row system, or None if the kernel is trivial."""
-    if not mat:
-        v = [Fraction(0)] * ncols
-        v[0] = Fraction(1)
-        return tuple(v)
     red, pivots = rref(mat)
     free = [c for c in range(ncols) if c not in pivots]
     if not free:

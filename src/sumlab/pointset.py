@@ -8,11 +8,11 @@ can ever create or destroy a collision in a sumset.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add, sub
+from operator import add, ge, sub
 from typing import Iterable, Sequence
 
 from .linalg import affine_rank, invert_matrix, mat_vec
@@ -68,6 +68,15 @@ class PointSet:
 
     dim: int
     points: tuple[Point, ...]
+
+    def __post_init__(self):
+        pts = self.points
+        bad = next((p for p in pts if len(p) != self.dim), None)
+        if bad is not None:
+            raise ValueError(f"point {bad} has length {len(bad)} in ambient dimension {self.dim}")
+        if any(map(ge, pts, pts[1:])):
+            bad = next(q for p, q in zip(pts, pts[1:]) if p >= q)
+            raise ValueError(f"points must be strictly increasing: {bad} repeats or follows a larger point")
 
     @classmethod
     def of(cls, dim: int, points: Iterable[Sequence]) -> "PointSet":
@@ -170,13 +179,16 @@ class AffineMap:
 
     matrix: tuple[Point, ...]
     translation: Point
+    _inverse_matrix: tuple[Point, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.matrix)
         if n == 0 or any(len(row) != n for row in self.matrix) or len(self.translation) != n:
             raise ValueError("affine map needs a square matrix and a matching translation")
-        if invert_matrix(self.matrix) is None:
+        inv = invert_matrix(self.matrix)
+        if inv is None:
             raise ValueError("singular matrix")
+        object.__setattr__(self, "_inverse_matrix", inv)
 
     @classmethod
     def of(cls, matrix: Sequence[Sequence], translation: Sequence) -> "AffineMap":
@@ -192,10 +204,8 @@ class AffineMap:
 
     @cached_property
     def inverse(self) -> "AffineMap":
-        inv = invert_matrix(self.matrix)
-        assert inv is not None
-        shift = mat_vec(inv, self.translation)
-        return AffineMap(inv, tuple(-c for c in shift))
+        inv = self._inverse_matrix
+        return AffineMap(inv, tuple(-c for c in mat_vec(inv, self.translation)))
 
     def to_json(self) -> dict:
         return {

@@ -65,3 +65,68 @@ def oracle_min_line_cover(points) -> tuple[tuple[int, ...], int]:
 
 def pset(dim, points) -> PointSet:
     return PointSet.of(dim, points)
+
+
+def _fraction_rref(rows):
+    """(reduced rows, pivot columns) of a Fraction matrix, by plain Gauss-Jordan elimination."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = next((i for i in range(len(pivots), len(rows)) if rows[i][col] != 0), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[r] = rows[r], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][col] != 0:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def oracle_supporting_hyperplanes(points, vec):
+    """Sorted (normal, offset) of the hyperplanes parallel to vec supporting a facet of the shadow.
+
+    Brute force in Fractions: project every point exactly along vec, take a
+    greedy basis of the shadow's difference space (rank k), and try every
+    affinely independent k-subset of the shadow.  The normal in the span of
+    the basis orthogonal to the subset's differences supports a facet when
+    every shadow point lies on one closed side.  Normals are primitive
+    integer vectors with positive first nonzero entry, offsets scaled alike.
+    Returns None when the shadow is a single point.
+    """
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+
+    def dot(u, v):
+        return sum((x * y for x, y in zip(u, v)), Fraction(0))
+
+    shadow = sorted({tuple(c - dot(p, vec) / dot(vec, vec) * x for c, x in zip(p, vec)) for p in pts})
+    if len(shadow) == 1:
+        return None
+    basis = []
+    for q in shadow[1:]:
+        diff = tuple(x - y for x, y in zip(q, shadow[0]))
+        if len(_fraction_rref(basis + [diff])[1]) > len(basis):
+            basis.append(diff)
+    k = len(basis)
+    found = set()
+    for subset in itertools.combinations(shadow, k):
+        rows = [[dot(tuple(x - y for x, y in zip(s, subset[0])), b) for b in basis] for s in subset[1:]]
+        red, pivots = _fraction_rref(rows)
+        if len(pivots) != k - 1:
+            continue
+        free = next(c for c in range(k) if c not in pivots)
+        coeffs = [Fraction(0)] * k
+        coeffs[free] = Fraction(1)
+        for row, col in zip(red, pivots):
+            coeffs[col] = -row[free]
+        normal = [sum((c * b[i] for c, b in zip(coeffs, basis)), Fraction(0)) for i in range(len(vec))]
+        offset = dot(normal, subset[0])
+        values = [dot(normal, q) for q in shadow]
+        if all(v <= offset for v in values) or all(v >= offset for v in values):
+            scale = lcm(*(f.denominator for f in normal))
+            ints = [int(f * scale) for f in normal]
+            factor = Fraction(scale, gcd(*ints)) * (1 if next(x for x in ints if x) > 0 else -1)
+            found.add((tuple(int(f * factor) for f in normal), offset * factor))
+    return sorted(found)

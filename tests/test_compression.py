@@ -119,6 +119,20 @@ def test_reduce_properties_randomized():
         assert reduce_properties_hold(a, b, l) == []
 
 
+def test_reduce_inverts_at_most_two_matrices(monkeypatch):
+    # AffineMap keeps the inverse its invertibility check computes, so .inverse adds none
+    import sumlab.pointset
+
+    real = sumlab.pointset.invert_matrix
+    calls = []
+    monkeypatch.setattr(sumlab.pointset, "invert_matrix", lambda mat: calls.append(mat) or real(mat))
+    a = pset(3, [(0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 2), (2, 1, 1)])
+    a2, _, trace = reduce(a, pset(3, [(0, 0, 0), (1, 2, 3)]), Direction.of((0, 0, 1)))
+    assert 1 <= len(calls) <= 2
+    assert len(a2) == len(a)
+    assert trace.initial_affine.inverse.inverse == trace.initial_affine
+
+
 def test_reduce_rejects_bad_inputs():
     flat = pset(2, [(0, 0), (1, 0), (2, 0)])
     with pytest.raises(ValueError):

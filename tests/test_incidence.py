@@ -119,8 +119,8 @@ def test_min_line_cover_grid_and_collinear():
 
 
 def test_min_line_cover_rejects_repeated_point():
-    # the raw constructor skips deduplication; a repeated point has no pair direction
-    with pytest.raises(ValueError, match="zero vector"):
+    # the raw constructor refuses the repeated point before any pair direction is formed
+    with pytest.raises(ValueError, match=r"strictly increasing: \(1, 2\) repeats"):
         min_line_cover(PointSet(2, ((1, 2), (1, 2), (3, 4))))
 
 
@@ -179,7 +179,7 @@ def test_supporting_hyperplanes_one_closed_side():
 
 
 def test_specialized_vs_general_hull_paths():
-    # the planar monotone-chain hull must agree with brute-force facet checks
+    # planar shadows (rank 2): the facets must agree with brute-force edge checks
     rng = random.Random(15)
     e3 = Direction.of((0, 0, 1))
     for _ in range(15):
@@ -203,7 +203,7 @@ def test_specialized_vs_general_hull_paths():
 
 
 def test_supporting_hyperplanes_4d_against_oracle():
-    # the k >= 3 facet-enumeration path vs a direct ambient-kernel oracle
+    # rank-3 shadows: the facets vs a direct ambient-kernel oracle
     from sumlab.incidence import _shadow_basis
     from sumlab.linalg import affine_rank as arank, kernel_vector
 

@@ -161,3 +161,14 @@ def test_json_rejects_duplicates_and_floats():
         PointSet.from_json({"dim": 1, "points": [["0.5"]]})
     with pytest.raises(ValueError):
         PointSet.from_json({"dim": 1, "points": [["1/0"]]})
+
+
+def test_raw_constructor_rejects_repeated_unsorted_and_misshapen_points():
+    with pytest.raises(ValueError, match=r"strictly increasing: \(1, 2\) repeats"):
+        PointSet(2, ((1, 2), (1, 2)))
+    with pytest.raises(ValueError, match=r"strictly increasing: \(1, 2\) repeats"):
+        PointSet(2, ((3, 4), (1, 2)))
+    with pytest.raises(ValueError, match=r"point \(1, 2, 3\) has length 3 in ambient dimension 2"):
+        PointSet(2, ((0, 0), (1, 2, 3)))
+    assert len(PointSet(2, ((1, 2), (3, 4)))) == 2
+    assert len(PointSet(2, ())) == 0
