@@ -147,6 +147,8 @@ def _main_bound(d: int, n: int) -> Fraction:
 
 _NEEDS_B = {"RUZSA_ASYM", "GS_LINES", "LEMMA_BASE_2D", "ASYM_THM"}
 _NEEDS_L = {"GS_LINES", "LEMMA_BASE_2D", "ASYM_THM", "TWOPLANES_1", "LINES_4D"}
+_PLANAR = {"GS_LINES", "LEMMA_BASE_2D"}
+_NEEDS_D2 = {"MAIN", "STAN_DOUBLING", "ASYM_THM", "DLINES", "TWOPLANES_1", "LINES_4D"}
 
 
 def check_claim(
@@ -171,9 +173,9 @@ def check_claim(
         raise ValueError(f"{claim} needs operand B")
     if claim in _NEEDS_L and l is None:
         raise ValueError(f"{claim} needs a line direction")
-    if claim in ("GS_LINES", "LEMMA_BASE_2D") and a.dim != 2:
+    if claim in _PLANAR and a.dim != 2:
         raise ValueError(f"{claim} is a planar claim; got ambient dimension {a.dim}")
-    if claim in ("MAIN", "STAN_DOUBLING", "ASYM_THM", "DLINES", "TWOPLANES_1", "LINES_4D") and a.dim < 2:
+    if claim in _NEEDS_D2 and a.dim < 2:
         raise ValueError(f"{claim} needs ambient dimension >= 2")
 
     d = a.dim

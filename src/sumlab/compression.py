@@ -58,8 +58,7 @@ def compress(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, dict[Point, 
         p0 = fiber.points[0]
         t_star = (h.offset - h.value(p0)) / nv
         u = tuple(c + t_star * x for c, x in zip(p0, v))
-        ordered = sorted(fiber.points, key=lambda p: sum(c * x for c, x in zip(p, v)))
-        for j, p in enumerate(ordered):
+        for j, p in enumerate(fiber.points):
             mapping[p] = tuple(c + j * x for c, x in zip(u, v))
     image = PointSet.of(a.dim, mapping.values())
     if len(image) != len(a):
@@ -162,8 +161,7 @@ def _normalizing_map(a: PointSet, l: Direction) -> AffineMap:
     part = line_partition(a, l)
     rich = [cls for _, cls in part.classes if len(cls) >= 2]
     fiber = min(rich, key=lambda c: c.points[0])
-    lv = l.vec
-    p0, q = sorted(fiber.points, key=lambda p: sum(c * x for c, x in zip(p, lv)))[:2]
+    p0, q = fiber.points[:2]
     along, *rest = greedy_basis(tuple(map(sub, x, p0)) for x in (q, *a.points))
     columns = [*rest, along]
     mat = tuple(tuple(col[i] for col in columns) for i in range(d))

@@ -35,7 +35,8 @@ def stanchescu_dk(d: int, k: int) -> PointSet:
     a_k = tuple(x - k * y for x, y in zip(unit(d, d - 1), unit(d, d - 2)))
     mirrored = [tuple(x - y for x, y in zip(a_k, t)) for t in t_block]
     out = PointSet.of(d, _parallel_aps(t_block + mirrored, unit(d, d - 2), [k] * (2 * d - 2)))
-    assert len(out) == 2 * (d - 1) * k
+    if len(out) != 2 * (d - 1) * k:
+        raise RuntimeError(f"stanchescu_dk postcondition failed: {len(out)} points, want {2 * (d - 1) * k}")
     return out
 
 
@@ -70,7 +71,8 @@ def stan_doubling_tight(d: int, n: int) -> PointSet:
     ]
     points += [unit(d, axis) for axis in range(2, d)]
     out = PointSet.of(d, points)
-    assert len(out) == 3 * n + d - 2
+    if len(out) != 3 * n + d - 2:
+        raise RuntimeError(f"stan_doubling_tight postcondition failed: {len(out)} points, want {3 * n + d - 2}")
     return out
 
 

@@ -100,17 +100,27 @@ class LinePartition:
         return tuple(len(c) for _, c in self.classes)
 
 
+def _shadow(a: PointSet, lv: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """(s, keys) in integers, keys[i] / s being a.points[i] projected along lv: over the set's common
+    denominator scale, p' = scale * p has key p' |lv|^2 - (p' . lv) lv, and s = scale * |lv|^2."""
+    scale, pts = _over_common_denominator(a)
+    norm = _dot(lv, lv)
+    return scale * norm, [tuple(x * norm - t * y for x, y in zip(p, lv)) for p in pts for t in (_dot(p, lv),)]
+
+
 def line_partition(a: PointSet, l: Direction) -> LinePartition:
-    """Group points by the line parallel to l through them (exact projection keys)."""
+    """Group points by the line parallel to l through them (exact projection keys); each
+    class lists its points in lexicographic order, which is their order along l."""
     if not a.points:
         raise ValueError("cannot partition an empty set")
     if len(l.vec) != a.dim:
         raise ValueError("direction dimension mismatch")
-    groups: dict[Point, list[Point]] = {}
-    for p in a.points:
-        groups.setdefault(project_along(p, l), []).append(p)
+    s, keys = _shadow(a, l.vec)
+    groups: dict[tuple[int, ...], list[Point]] = {}
+    for key, p in zip(keys, a.points):
+        groups.setdefault(key, []).append(p)
     classes = tuple(
-        (key, PointSet(a.dim, tuple(pts))) for key, pts in sorted(groups.items())
+        (tuple(Fraction(x, s) for x in key), PointSet(a.dim, tuple(pts))) for key, pts in sorted(groups.items())
     )
     return LinePartition(l, classes)
 
@@ -218,20 +228,17 @@ def supporting_hyperplanes(a: PointSet, l: Direction) -> list[Hyperplane]:
     The shadow is the exact projection of the set along l; every returned
     hyperplane has normal orthogonal to l, touches the set in a full facet of
     the shadow's convex hull, and keeps the whole set on one closed side.
-    The facets are enumerated on the shadow scaled to integers: the points
-    over their common denominator, projected as p |l|^2 - (p . l) l.
+    The facets are enumerated on the integer shadow from `_shadow`.
     """
     if not a.points:
         raise ValueError("empty set")
     if len(l.vec) != a.dim:
         raise ValueError("direction dimension mismatch")
-    scale, pts = _over_common_denominator(a)
-    lv = l.vec
-    norm = _dot(lv, lv)
-    shadow = sorted({tuple(x * norm - t * y for x, y in zip(p, lv)) for p in pts for t in (_dot(p, lv),)})
+    s, keys = _shadow(a, l.vec)
+    shadow = sorted(set(keys))
     if len(shadow) == 1:
         raise ValueError("set projects to a single point along this direction")
-    hs = (Hyperplane.of(n, Fraction(c, scale * norm)) for n, c in _facets(shadow))
+    hs = (Hyperplane.of(n, Fraction(c, s)) for n, c in _facets(shadow))
     return sorted(hs, key=lambda h: (h.normal, h.offset))
 
 
@@ -240,14 +247,13 @@ def major_hyperplane(a: PointSet, l: Direction) -> Hyperplane:
 
     Ties break toward the lexicographically smallest (normal, offset).
     """
-    best: Hyperplane | None = None
-    best_count = -1
-    for h in supporting_hyperplanes(a, l):
-        count = sum(1 for p in a.points if h.contains(p))
-        if count > best_count:
-            best, best_count = h, count
-    assert best is not None
-    return best
+    scale, pts = _over_common_denominator(a)
+
+    def incidences(h: Hyperplane) -> int:
+        target = h.offset * scale
+        return sum(_dot(h.normal, p) == target for p in pts)
+
+    return max(supporting_hyperplanes(a, l), key=incidences)
 
 
 def hyperplane_slices(a: PointSet, h: Hyperplane) -> list[tuple[Hyperplane, PointSet]]:
@@ -261,10 +267,11 @@ def hyperplane_slices(a: PointSet, h: Hyperplane) -> list[tuple[Hyperplane, Poin
         raise ValueError("empty set")
     if len(h.normal) != a.dim:
         raise ValueError("hyperplane dimension mismatch")
-    groups: dict[Fraction, list[Point]] = {}
-    for p in a.points:
-        groups.setdefault(h.value(p), []).append(p)
+    scale, pts = _over_common_denominator(a)
+    groups: dict[int, list[Point]] = {}
+    for q, p in zip(pts, a.points):
+        groups.setdefault(_dot(h.normal, q), []).append(p)
     values = sorted(groups)
-    if h.offset >= values[-1] and values[0] < values[-1]:
+    if h.offset * scale >= values[-1] and values[0] < values[-1]:
         values = values[::-1]
-    return [(Hyperplane(h.normal, v), PointSet(a.dim, tuple(groups[v]))) for v in values]
+    return [(Hyperplane(h.normal, Fraction(v, scale)), PointSet(a.dim, tuple(groups[v]))) for v in values]

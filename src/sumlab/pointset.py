@@ -38,17 +38,20 @@ def format_rational(value) -> str:
 
 
 def _coerce_coord(c) -> Fraction:
+    """A coordinate from a Fraction, an int (not a bool) or a "p/q" string; anything else is a ValueError."""
     if isinstance(c, Fraction):
         return c
     if isinstance(c, str):
         return parse_rational(c)
-    if isinstance(c, float):
-        raise ValueError(f"float coordinate {c!r} rejected; use int, Fraction or 'p/q' string")
-    return Fraction(c)
+    if isinstance(c, int) and not isinstance(c, bool):
+        return Fraction(c)
+    raise ValueError(f"{type(c).__name__} coordinate {c!r} rejected; use int, Fraction or 'p/q' string")
 
 
 def coerce_point(coords: Sequence, dim: int | None = None) -> Point:
-    """Normalize a coordinate sequence to a tuple of Fractions."""
+    """Normalize a list or tuple of coordinates to a tuple of Fractions."""
+    if not isinstance(coords, (list, tuple)):
+        raise ValueError(f"a point must be a list or tuple of coordinates, got {coords!r}")
     pt = tuple(_coerce_coord(c) for c in coords)
     if not pt:
         raise ValueError("points must have at least one coordinate")
@@ -109,8 +112,10 @@ class PointSet:
         if not isinstance(obj, dict) or "dim" not in obj or "points" not in obj:
             raise ValueError("point-set JSON needs 'dim' and 'points'")
         dim = obj["dim"]
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ValueError(f"bad dimension: {dim!r}")
+        if not isinstance(obj["points"], list):
+            raise ValueError(f"'points' must be a list of points, got {obj['points']!r}")
         pts = [coerce_point(p, dim) for p in obj["points"]]
         if len(set(pts)) != len(pts):
             raise ValueError("duplicate points in input")
@@ -223,5 +228,6 @@ def apply_affine(a: PointSet, t: AffineMap) -> PointSet:
     if len(t.translation) != a.dim:
         raise ValueError("affine map dimension mismatch")
     image = PointSet.of(a.dim, (t.apply(p) for p in a.points))
-    assert len(image) == len(a)
+    if len(image) != len(a):
+        raise RuntimeError(f"affine image postcondition failed: {len(a)} points went to {len(image)}")
     return image

@@ -22,7 +22,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from ._version import __version__
-from .bounds import COUNTEREXAMPLE, ClaimReport, check_claim, CLAIM_IDS, _NEEDS_B, _NEEDS_L
+from .bounds import COUNTEREXAMPLE, ClaimReport, check_claim, CLAIM_IDS, _NEEDS_B, _NEEDS_D2, _NEEDS_L, _PLANAR
 from .incidence import Direction
 from .linalg import affine_rank
 from .pointset import PointSet, difference_set
@@ -63,8 +63,10 @@ class SearchSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.claim is not None and self.claim not in CLAIM_IDS:
             raise ValueError(f"unknown claim {self.claim!r}")
-        if self.claim in ("GS_LINES", "LEMMA_BASE_2D") and self.d != 2:
+        if self.claim in _PLANAR and self.d != 2:
             raise ValueError(f"{self.claim} is a planar claim; got d = {self.d}")
+        if self.claim in _NEEDS_D2 and self.d < 2:
+            raise ValueError(f"{self.claim} needs ambient dimension >= 2; got d = {self.d}")
         if self.mode == RANDOM and (self.trials is None or self.trials < 1):
             raise ValueError("random mode needs trials >= 1")
         if self.n > self.volume():
@@ -130,17 +132,11 @@ def canonical_form(points: Iterable[IntPoint], allow_permutations: bool = True) 
     """
     pts = list(points)
     d = len(pts[0])
+    # translating each coordinate's minimum to 0 commutes with permuting coordinates
+    mins = [min(col) for col in zip(*pts)]
+    shifted = [tuple(c - m for c, m in zip(p, mins)) for p in pts]
     perms = itertools.permutations(range(d)) if allow_permutations else [tuple(range(d))]
-    best: tuple[IntPoint, ...] | None = None
-    for perm in perms:
-        image = [tuple(p[i] for i in perm) for p in pts]
-        mins = [min(p[i] for p in image) for i in range(d)]
-        shifted = sorted(tuple(c - m for c, m in zip(p, mins)) for p in image)
-        key = tuple(shifted)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
+    return min(tuple(sorted(tuple(p[i] for i in perm) for p in shifted)) for perm in perms)
 
 
 def diff_count(points: Sequence[IntPoint]) -> int:

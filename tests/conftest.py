@@ -63,6 +63,43 @@ def oracle_min_line_cover(points) -> tuple[tuple[int, ...], int]:
     return best[1], best[0]
 
 
+def _fraction_dot(u, v):
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v)), Fraction(0))
+
+
+def oracle_line_partition(points, vec) -> list:
+    """[(projection key, points of its line)] along vec, by brute force in Fractions.
+
+    Each point is projected exactly onto the orthogonal complement of vec;
+    classes come in increasing key order, and each lists its points by their
+    position along vec taken with its first nonzero entry positive.
+    """
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    vec = tuple(Fraction(x) for x in vec)
+    forward = vec if next(x for x in vec if x) > 0 else tuple(-x for x in vec)
+    norm = _fraction_dot(vec, vec)
+    groups = {}
+    for p in pts:
+        t = _fraction_dot(p, vec) / norm
+        groups.setdefault(tuple(c - t * x for c, x in zip(p, vec)), []).append(p)
+    return [(key, tuple(sorted(cls, key=lambda p: _fraction_dot(p, forward)))) for key, cls in sorted(groups.items())]
+
+
+def oracle_hyperplane_slices(points, normal, offset) -> list:
+    """[(normal . p, points with that value)], by brute force in Fractions.
+
+    Values decrease when offset is at or above every value and the values
+    differ (the hyperplane supports the set from above); otherwise they increase.
+    """
+    groups = {}
+    for p in points:
+        groups.setdefault(_fraction_dot(normal, p), []).append(tuple(Fraction(c) for c in p))
+    values = sorted(groups)
+    if offset >= values[-1] and values[0] < values[-1]:
+        values.reverse()
+    return [(v, tuple(sorted(groups[v]))) for v in values]
+
+
 def pset(dim, points) -> PointSet:
     return PointSet.of(dim, points)
 
@@ -130,3 +167,15 @@ def oracle_supporting_hyperplanes(points, vec):
             factor = Fraction(scale, gcd(*ints)) * (1 if next(x for x in ints if x) > 0 else -1)
             found.add((tuple(int(f * factor) for f in normal), offset * factor))
     return sorted(found)
+
+
+def oracle_major_hyperplane(points, vec):
+    """(normal, offset) of the oracle supporting hyperplane holding the most points.
+
+    Ties go to the smallest (normal, offset); None when the shadow is a single point.
+    """
+    found = oracle_supporting_hyperplanes(points, vec)
+    if found is None:
+        return None
+    pts = {tuple(Fraction(c) for c in p) for p in points}
+    return min(found, key=lambda h: (-sum(_fraction_dot(h[0], p) == h[1] for p in pts), h))

@@ -218,6 +218,16 @@ def test_malformed_input_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["dim", "diff"])
+@pytest.mark.parametrize("dim, points", [(1, [5]), (2, [["1", None]]), (2, ["12"]), (2, [[True, 2]])])
+def test_non_point_json_is_input_error(tmp_path, capsys, command, dim, points):
+    path = write_set(tmp_path, "bad.json", dim, points)
+    second = ["--b", path] if command == "diff" else []
+    code, _ = run_cli([command, "--input", path, *second])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_requires_seed():
     code, _ = run_cli(["verify", "--suite", "constructions"])
     assert code == 3

@@ -3,8 +3,10 @@
 Operands range over d = 1..4 with integer, rational and mixed-denominator
 coordinates (the two operands of a sum or difference drawing from different
 denominators), general and collinear point sets, and sizes down to n = 2.
-Supporting hyperplanes range over d = 2..5, with sets of every affine rank
-and arbitrary directions.
+Supporting hyperplanes and the major hyperplane range over d = 2..5, with
+sets of every affine rank and arbitrary directions; line partitions and
+hyperplane slices over d = 2..4, along random directions and along a
+difference of two set points.
 """
 
 from fractions import Fraction
@@ -12,8 +14,28 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumlab import Direction, PointSet, difference_set, min_line_cover, sumset, supporting_hyperplanes
-from conftest import oracle_min_line_cover, oracle_pair_diffs, oracle_pair_sums, oracle_supporting_hyperplanes
+from sumlab import (
+    Direction,
+    Hyperplane,
+    PointSet,
+    difference_set,
+    hyperplane_slices,
+    line_partition,
+    major_hyperplane,
+    min_line_cover,
+    project_along,
+    sumset,
+    supporting_hyperplanes,
+)
+from conftest import (
+    oracle_hyperplane_slices,
+    oracle_line_partition,
+    oracle_major_hyperplane,
+    oracle_min_line_cover,
+    oracle_pair_diffs,
+    oracle_pair_sums,
+    oracle_supporting_hyperplanes,
+)
 
 DENOMINATORS = {"integer": ((1,), (1,)), "rational": ((2, 3), (2, 3)), "mixed": ((1, 2, 4), (3, 5))}
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -109,3 +131,58 @@ def test_supporting_hyperplanes_matches_oracle(case):
             supporting_hyperplanes(a, l)
     else:
         assert [(h.normal, h.offset) for h in supporting_hyperplanes(a, l)] == expected
+
+
+@PROPERTY
+@given(shadow_cases())
+def test_major_hyperplane_matches_oracle(case):
+    d, pts, vec = case
+    expected = oracle_major_hyperplane(pts, vec)
+    a, l = PointSet.of(d, pts), Direction.of(vec)
+    if expected is None:
+        with pytest.raises(ValueError, match="single point"):
+            major_hyperplane(a, l)
+    else:
+        h = major_hyperplane(a, l)
+        assert (h.normal, h.offset) == expected
+
+
+@st.composite
+def vector_cases(draw):
+    """A point set in d = 2..4 and a nonzero vector: small integers, or the difference of two set points."""
+    d = draw(st.integers(2, 4))
+    dens, _ = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
+    pts = draw(_points(d, dens, 1))
+    vec = draw(st.tuples(*[st.integers(-2, 2)] * d).filter(any))
+    if len(pts) >= 2 and draw(st.booleans()):
+        vec = tuple(y - x for x, y in zip(pts[0], pts[1]))
+    return d, pts, vec
+
+
+@PROPERTY
+@given(vector_cases())
+def test_line_partition_matches_oracle(case):
+    d, pts, vec = case
+    l = Direction.of(vec)
+    part = line_partition(PointSet.of(d, pts), l)
+    assert part.direction == l
+    assert [(key, cls.points) for key, cls in part.classes] == oracle_line_partition(pts, vec)
+    for key, cls in part.classes:
+        assert all(type(c) is Fraction for c in key)
+        assert all(project_along(p, l) == key for p in cls.points)
+
+
+@PROPERTY
+@given(vector_cases())
+def test_hyperplane_slices_match_oracle(case):
+    d, pts, normal = case
+    a = PointSet.of(d, pts)
+    values = [sum(Fraction(n) * c for n, c in zip(normal, p)) for p in pts]
+    # supporting from above, supporting from below, and a strictly interior offset when there is one
+    for offset in (max(values), min(values), (max(values) + min(values)) / 2):
+        h = Hyperplane.of(normal, offset)
+        slices = hyperplane_slices(a, h)
+        assert all(s.normal == h.normal for s, _ in slices)
+        assert all(type(s.offset) is Fraction for s, _ in slices)
+        expected = oracle_hyperplane_slices(pts, h.normal, h.offset)
+        assert [(s.offset, cls.points) for s, cls in slices] == expected

@@ -163,6 +163,23 @@ def test_json_rejects_duplicates_and_floats():
         PointSet.from_json({"dim": 1, "points": [["1/0"]]})
 
 
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        ({"dim": 2, "points": ["12"]}, "must be a list or tuple"),
+        ({"dim": 1, "points": [5]}, "must be a list or tuple"),
+        ({"dim": 2, "points": [[True, 2]]}, "bool coordinate True rejected"),
+        ({"dim": 2, "points": [["1", None]]}, "NoneType coordinate None rejected"),
+        ({"dim": 1, "points": [[1.5]]}, "float coordinate 1.5 rejected"),
+        ({"dim": True, "points": [["1"]]}, "bad dimension: True"),
+        ({"dim": 1, "points": "12"}, "'points' must be a list"),
+    ],
+)
+def test_json_rejects_non_point_values(blob, message):
+    with pytest.raises(ValueError, match=message):
+        PointSet.from_json(blob)
+
+
 def test_raw_constructor_rejects_repeated_unsorted_and_misshapen_points():
     with pytest.raises(ValueError, match=r"strictly increasing: \(1, 2\) repeats"):
         PointSet(2, ((1, 2), (1, 2)))

@@ -1,7 +1,9 @@
-"""The search, compression and reduction postconditions are checks that raise, so they hold under `python -O`.
+"""Postconditions are checks that raise, so they hold under `python -O`.
 
-Each case runs a `python -O` subprocess, breaks one postcondition on purpose
-by patching a name the check reads, and expects the RuntimeError of that check.
+The cases cover the search, compression, reduction, affine-image and
+construction postconditions.  Each case runs a `python -O` subprocess,
+breaks one postcondition on purpose by patching a name the check reads, and
+expects the RuntimeError of that check.
 """
 
 import subprocess
@@ -12,6 +14,8 @@ import pytest
 
 PRELUDE = """
 import sumlab.compression as C
+import sumlab.constructions as K
+import sumlab.pointset as P
 import sumlab.search as S
 from sumlab import CompressionSpec, Direction, Hyperplane, PointSet, SearchSpec, compress
 from sumlab import exhaustive_min_diff, random_probe, reduce
@@ -85,6 +89,25 @@ CASES = {
         "from_step(3, lambda x, image: PointSet.of(3, [(0,) + p[1:] for p in image]))\n"
         "reduce_comb()",
         "the set lies in one slab",
+    ),
+    "apply_affine": (
+        # every point goes to the origin
+        "P.AffineMap.apply = lambda self, p: (0,) * len(p)\n"
+        "P.apply_affine(square, P.AffineMap.identity(2))",
+        "affine image postcondition failed",
+    ),
+    "stanchescu_dk": (
+        # the progressions lose their last point
+        "real_aps = K._parallel_aps\n"
+        "K._parallel_aps = lambda *args: real_aps(*args)[:-1]\n"
+        "K.stanchescu_dk(3, 2)",
+        "stanchescu_dk postcondition failed",
+    ),
+    "stan_doubling_tight": (
+        # e_3 collapses onto the origin, which the rows already hold
+        "K.unit = lambda d, axis: (0,) * d\n"
+        "K.stan_doubling_tight(3, 2)",
+        "stan_doubling_tight postcondition failed",
     ),
     "reduce_slab_decrease": (
         # the slanted steps leave the set as it was

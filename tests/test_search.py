@@ -131,6 +131,12 @@ def test_exhaustive_degenerate_box_with_full_dim():
 def test_planar_claims_validated_upfront():
     with pytest.raises(ValueError):
         SearchSpec(3, 5, (3, 3, 3), RANDOM, seed=0, trials=5, claim="GS_LINES")
+    # claims stated for d >= 2 are refused at d = 1 before any trial runs, in both modes
+    for claim in ("MAIN", "STAN_DOUBLING", "ASYM_THM", "DLINES", "TWOPLANES_1", "LINES_4D"):
+        for mode in (RANDOM, EXHAUSTIVE):
+            with pytest.raises(ValueError, match=f"{claim} needs ambient dimension >= 2; got d = 1"):
+                SearchSpec(1, 3, (4,), mode, seed=0, trials=5, claim=claim)
+            SearchSpec(2, 3, (4, 4), mode, seed=0, trials=5, claim=claim)
 
 
 def test_random_probe_deterministic():
