@@ -15,7 +15,7 @@ from operator import sub
 
 from .incidence import Direction, Hyperplane, line_partition
 from .linalg import greedy_basis
-from .pointset import AffineMap, Point, PointSet, affine_dimension, apply_affine, parse_rational, unit
+from .pointset import AffineMap, Point, PointSet, affine_dimension, apply_affine, coerce_point, unit
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,8 @@ class CompressionTrace:
         steps = []
         for raw in obj["steps"]:
             spec = CompressionSpec.from_json(raw)
-            mapping = tuple(
-                (tuple(map(parse_rational, pre)), tuple(map(parse_rational, post)))
-                for pre, post in raw["map"]
-            )
+            dim = len(spec.direction.vec)
+            mapping = tuple((coerce_point(pre, dim), coerce_point(post, dim)) for pre, post in raw["map"])
             steps.append(TraceStep(spec, mapping))
         return cls(tuple(steps), None if affine is None else AffineMap.from_json(affine))
 

@@ -103,6 +103,10 @@ class LinePartition:
 def _shadow(a: PointSet, lv: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
     """(s, keys) in integers, keys[i] / s being a.points[i] projected along lv: over the set's common
     denominator scale, p' = scale * p has key p' |lv|^2 - (p' . lv) lv, and s = scale * |lv|^2."""
+    if not a.points:
+        raise ValueError("empty set")
+    if len(lv) != a.dim:
+        raise ValueError("direction dimension mismatch")
     scale, pts = _over_common_denominator(a)
     norm = _dot(lv, lv)
     return scale * norm, [tuple(x * norm - t * y for x, y in zip(p, lv)) for p in pts for t in (_dot(p, lv),)]
@@ -111,10 +115,6 @@ def _shadow(a: PointSet, lv: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]
 def line_partition(a: PointSet, l: Direction) -> LinePartition:
     """Group points by the line parallel to l through them (exact projection keys); each
     class lists its points in lexicographic order, which is their order along l."""
-    if not a.points:
-        raise ValueError("cannot partition an empty set")
-    if len(l.vec) != a.dim:
-        raise ValueError("direction dimension mismatch")
     s, keys = _shadow(a, l.vec)
     groups: dict[tuple[int, ...], list[Point]] = {}
     for key, p in zip(keys, a.points):
@@ -230,11 +230,11 @@ def supporting_hyperplanes(a: PointSet, l: Direction) -> list[Hyperplane]:
     the shadow's convex hull, and keeps the whole set on one closed side.
     The facets are enumerated on the integer shadow from `_shadow`.
     """
-    if not a.points:
-        raise ValueError("empty set")
-    if len(l.vec) != a.dim:
-        raise ValueError("direction dimension mismatch")
-    s, keys = _shadow(a, l.vec)
+    return _facet_hyperplanes(*_shadow(a, l.vec))
+
+
+def _facet_hyperplanes(s: int, keys: list[tuple[int, ...]]) -> list[Hyperplane]:
+    """The hyperplanes through the facets of the shadow (s, keys) from `_shadow`, sorted."""
     shadow = sorted(set(keys))
     if len(shadow) == 1:
         raise ValueError("set projects to a single point along this direction")
@@ -247,13 +247,15 @@ def major_hyperplane(a: PointSet, l: Direction) -> Hyperplane:
 
     Ties break toward the lexicographically smallest (normal, offset).
     """
-    scale, pts = _over_common_denominator(a)
+    s, keys = _shadow(a, l.vec)
 
     def incidences(h: Hyperplane) -> int:
-        target = h.offset * scale
-        return sum(_dot(h.normal, p) == target for p in pts)
+        # the normal is orthogonal to l, so normal . key = |l|^2 (normal . p'), and p lies
+        # on h exactly when that equals offset * s
+        target = h.offset * s
+        return sum(_dot(h.normal, k) == target for k in keys)
 
-    return max(supporting_hyperplanes(a, l), key=incidences)
+    return max(_facet_hyperplanes(s, keys), key=incidences)
 
 
 def hyperplane_slices(a: PointSet, h: Hyperplane) -> list[tuple[Hyperplane, PointSet]]:

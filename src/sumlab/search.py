@@ -31,6 +31,7 @@ IntPoint = tuple[int, ...]
 
 EXHAUSTIVE = "EXHAUSTIVE"
 RANDOM = "RANDOM"
+WITNESS_CAP = 32
 
 
 class BudgetExceededError(ValueError):
@@ -52,7 +53,6 @@ class SearchSpec:
     as_conjecture: bool = False
     require_full_dim: bool = False
     budget: int = 10**8
-    witness_cap: int = 32
 
     def __post_init__(self):
         if self.d < 1 or self.n < 1:
@@ -97,7 +97,7 @@ class SearchSpec:
             "as_conjecture": self.as_conjecture,
             "require_full_dim": self.require_full_dim,
             "budget": self.budget,
-            "witness_cap": self.witness_cap,
+            "witness_cap": WITNESS_CAP,
         }
 
 
@@ -139,9 +139,25 @@ def canonical_form(points: Iterable[IntPoint], allow_permutations: bool = True) 
     return min(tuple(sorted(tuple(p[i] for i in perm) for p in shifted)) for perm in perms)
 
 
+def _pack(points: Sequence[IntPoint], spans: Sequence[int]) -> list[int]:
+    """Each point p as the integer w·p (Kronecker substitution).
+
+    The weights are w[d-1] = 1 and w[i] = w[i+1]·(2·spans[i+1] + 1).  The map
+    is linear, so code(p) - code(q) = code(p - q), and it is one-to-one on
+    vectors δ with |δ_i| <= spans[i] for every i (a balanced mixed radix).
+    Differences of points whose i-th coordinates lie within spans[i] of each
+    other therefore count exactly as packed integers.
+    """
+    weights = [1]
+    for m in reversed(spans[1:]):
+        weights.append(weights[-1] * (2 * m + 1))
+    weights.reverse()
+    return [sum(c * w for c, w in zip(p, weights)) for p in points]
+
+
 def diff_count(points: Sequence[IntPoint]) -> int:
-    diffs = {tuple(a - b for a, b in zip(p, q)) for p in points for q in points}
-    return len(diffs)
+    codes = _pack(points, [max(col) - min(col) for col in zip(*points)])
+    return len({p - q for p in codes for q in codes})
 
 
 def _seeded_rng(key: str) -> random.Random:
@@ -150,22 +166,14 @@ def _seeded_rng(key: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _full_dim(points: Sequence[IntPoint], d: int) -> bool:
-    return affine_rank(points) == d
-
-
 def _check_candidate_claim(spec: SearchSpec, points: Sequence[IntPoint], rng: random.Random | None) -> ClaimReport:
     a = PointSet.of(spec.d, points)
     b = None
     l = None
     if spec.claim in _NEEDS_B:
-        if rng is None:
-            raise ValueError(f"claim {spec.claim} needs operand B, which exhaustive mode does not generate")
         size = rng.randint(1, spec.n)
         b = PointSet.of(spec.d, _sample_points(rng, spec.box, size))
     if spec.claim in _NEEDS_L:
-        if rng is None:
-            raise ValueError(f"claim {spec.claim} needs a line direction, which exhaustive mode does not generate")
         l = _random_direction(rng, spec.d)
     return check_claim(spec.claim, a, b, l, as_conjecture=spec.as_conjecture)
 
@@ -208,8 +216,8 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
         raise ValueError(f"threads must be at least 1, got {threads}")
     if spec.claim is not None and (spec.claim in _NEEDS_B or spec.claim in _NEEDS_L):
         raise ValueError(f"claim {spec.claim} needs operands exhaustive mode does not generate")
-    points = lattice_points(spec.box)
-    first_max = len(points) - spec.n + 1
+    volume = spec.volume()
+    first_max = volume - spec.n + 1
     if threads > 1 and first_max > 1:
         blocks = [(spec, prune, i, i + 1) for i in range(first_max)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -217,7 +225,7 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
     else:
         partials = [_search_block((spec, prune, 0, first_max))]
     best = min(p[0] for p in partials)
-    if best > len(points) * len(points):
+    if best > volume * volume:
         raise ValueError("no candidate subset satisfied the dimension requirement")
     witnesses: set[tuple[IntPoint, ...]] = set()
     examined = 0
@@ -231,8 +239,8 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
 
 
 def _search_result(spec: SearchSpec, best: int, witnesses: set, examined: int, violations: list) -> SearchResult:
-    """The result with the first witness_cap witnesses, each re-checked to attain best."""
-    witness_sets = tuple(PointSet.of(spec.d, w) for w in sorted(witnesses)[: spec.witness_cap])
+    """The result with the first WITNESS_CAP witnesses, each re-checked to attain best."""
+    witness_sets = tuple(PointSet.of(spec.d, w) for w in sorted(witnesses)[:WITNESS_CAP])
     for w in witness_sets:
         if len(difference_set(w, w)) != best:
             raise RuntimeError(f"witness {w.to_json()} does not have |W - W| = {best}")
@@ -244,6 +252,7 @@ def _search_result(spec: SearchSpec, best: int, witnesses: set, examined: int, v
 def _search_block(args) -> tuple[int, set[tuple[IntPoint, ...]], int, list[ClaimReport]]:
     spec, prune, first_lo, first_hi = args
     points = lattice_points(spec.box)
+    codes = _pack(points, spec.box)
     total = len(points)
     uniform = len(set(spec.box)) == 1
     use_prune = prune and spec.claim is None
@@ -252,35 +261,16 @@ def _search_block(args) -> tuple[int, set[tuple[IntPoint, ...]], int, list[Claim
     witnesses: set[tuple[IntPoint, ...]] = set()
     examined = 0
     violations: list[ClaimReport] = []
-    chosen: list[IntPoint] = []
-    diffs: set[IntPoint] = {(0,) * spec.d}
-    added_stack: list[list[IntPoint]] = []
-
-    def push(p: IntPoint) -> None:
-        added = []
-        for q in chosen:
-            for delta in (
-                tuple(a - b for a, b in zip(p, q)),
-                tuple(b - a for a, b in zip(p, q)),
-            ):
-                if delta not in diffs:
-                    diffs.add(delta)
-                    added.append(delta)
-        chosen.append(p)
-        added_stack.append(added)
-
-    def pop() -> None:
-        chosen.pop()
-        for delta in added_stack.pop():
-            diffs.discard(delta)
+    chosen: list[int] = []
+    diffs = {0}
 
     def walk(start: int) -> None:
         nonlocal best, examined
         if len(chosen) == spec.n:
             examined += 1
-            if spec.require_full_dim and not _full_dim(chosen, spec.d):
+            ordered = tuple(points[i] for i in chosen)
+            if spec.require_full_dim and affine_rank(ordered) != spec.d:
                 return
-            ordered = tuple(sorted(chosen))
             if canonical_form(ordered, uniform) != ordered:
                 return
             if spec.claim is not None:
@@ -298,10 +288,16 @@ def _search_block(args) -> tuple[int, set[tuple[IntPoint, ...]], int, list[Claim
         lo = first_lo if not chosen else start
         hi = first_hi if not chosen else total - remaining + 1
         for idx in range(lo, hi):
-            push(points[idx])
+            p = codes[idx]
+            added = {p - codes[i] for i in chosen}
+            added |= {-delta for delta in added}
+            added -= diffs
+            diffs.update(added)
+            chosen.append(idx)
             if not (use_prune and len(diffs) > best):
                 walk(idx + 1)
-            pop()
+            chosen.pop()
+            diffs.difference_update(added)
 
     walk(0)
     return best, witnesses, examined, violations
@@ -325,7 +321,7 @@ def random_probe(spec: SearchSpec) -> SearchResult:
         pts = _sample_points(rng, spec.box, spec.n)
         if spec.require_full_dim:
             attempts = 0
-            while not _full_dim(pts, spec.d):
+            while affine_rank(pts) != spec.d:
                 attempts += 1
                 if attempts > 500:
                     raise ValueError("could not sample a full-dimensional subset; box too thin?")

@@ -197,6 +197,17 @@ def test_trace_from_json_rejects_float_direction_and_hyperplane():
             CompressionTrace.from_json(blob)
 
 
+@pytest.mark.parametrize("bad", ["00", ["0", "0", "0"]], ids=["string", "three-coordinates"])
+def test_trace_from_json_rejects_malformed_map_points(bad):
+    # map points follow the point-set JSON rule: a list of coordinates, one per axis
+    square = pset(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    _, _, trace = reduce(square, pset(2, [(0, 0)]), E2)
+    blob = trace.to_json()
+    blob["steps"][0]["map"][0][0] = bad
+    with pytest.raises(ValueError):
+        CompressionTrace.from_json(blob)
+
+
 def test_reduce_monotone_sumset():
     rng = random.Random(26)
     for i in range(60):

@@ -6,7 +6,9 @@ denominators), general and collinear point sets, and sizes down to n = 2.
 Supporting hyperplanes and the major hyperplane range over d = 2..5, with
 sets of every affine rank and arbitrary directions; line partitions and
 hyperplane slices over d = 2..4, along random directions and along a
-difference of two set points.
+difference of two set points. The search's packed `diff_count` ranges over
+integer sets in d = 1..4 with n = 1..12, negative coordinates, zero-span
+axes and collinear sets.
 """
 
 from fractions import Fraction
@@ -27,7 +29,9 @@ from sumlab import (
     sumset,
     supporting_hyperplanes,
 )
+from sumlab.search import diff_count
 from conftest import (
+    oracle_diff_count,
     oracle_hyperplane_slices,
     oracle_line_partition,
     oracle_major_hyperplane,
@@ -90,6 +94,26 @@ def test_difference_set_matches_oracle(case):
     result = difference_set(PointSet.of(d, pa), PointSet.of(d, pb))
     assert result.points == oracle_pair_diffs(pa, pb)
     assert _is_exact(result)
+
+
+@st.composite
+def lattice_sets(draw):
+    """1 to 12 integer points in d = 1..4, negative coordinates allowed, some axes held
+    at one value (zero span): in general position or on one line."""
+    d = draw(st.integers(1, 4))
+    held = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    point = st.tuples(*[st.just(draw(st.integers(-6, 6))) if h else st.integers(-6, 6) for h in held])
+    general = st.lists(point, min_size=1, max_size=12, unique=True)
+    steps = st.lists(st.integers(-5, 5), min_size=1, max_size=12, unique=True)
+    vec = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
+    collinear = st.builds(lambda base, v, ks: [tuple(b + k * x for b, x in zip(base, v)) for k in ks], point, vec, steps)
+    return draw(st.one_of(general, collinear))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lattice_sets())
+def test_diff_count_matches_oracle(pts):
+    assert diff_count(pts) == oracle_diff_count(pts)
 
 
 @PROPERTY

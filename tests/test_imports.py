@@ -1,0 +1,32 @@
+"""The package promises no runtime dependencies: it imports the standard library and itself only."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "sumlab").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_are_stdlib_or_relative(path):
+    outside = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import must stay inside the flat sumlab package
+            if node.level != 1:
+                outside.append(f"line {node.lineno}: {'.' * node.level}{node.module or ''}")
+            continue
+        else:
+            continue
+        outside += [f"line {node.lineno}: {name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
+def test_every_module_is_checked():
+    assert {"__init__.py", "search.py", "cli.py"} <= {p.name for p in SOURCES}

@@ -254,6 +254,19 @@ def test_major_hyperplane_tiebreak():
     assert sum(1 for p in s24.points if h2.contains(p)) == 4
 
 
+def test_major_hyperplane_scales_the_set_once(monkeypatch):
+    # the incidence counts reuse the integer shadow the facet enumeration was built on
+    import sumlab.incidence
+
+    real = sumlab.incidence._over_common_denominator
+    calls = []
+    monkeypatch.setattr(sumlab.incidence, "_over_common_denominator", lambda *sets: calls.append(sets) or real(*sets))
+    a = pset(3, [(0, 0, 0), (Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, Fraction(2, 3)), (1, 1, 1)])
+    h = major_hyperplane(a, Direction.of((0, 0, 1)))
+    assert len(calls) == 1
+    assert sum(1 for p in a.points if h.contains(p)) == 3
+
+
 def test_major_slice_at_least_last_slice():
     rng = random.Random(16)
     for _ in range(25):

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,8 +14,8 @@ from sumlab import (
     exhaustive_min_diff,
     random_probe,
 )
-from sumlab.search import EXHAUSTIVE, RANDOM, diff_count, lattice_points
-from conftest import oracle_diff_count
+from sumlab.search import EXHAUSTIVE, RANDOM, diff_count
+from conftest import _fraction_rref, oracle_diff_count
 
 
 def spec(**kw):
@@ -73,21 +75,49 @@ def test_pruning_parity():
         assert with_prune.candidates_examined <= without.candidates_examined
 
 
-def test_exhaustive_matches_brute_force():
-    # independent oracle: direct enumeration over all subsets
-    import itertools
+def _translate_permute_canonical(points, permute):
+    """Least sorted image of the points under every axis permutation (if permute),
+    each followed by the translation taking every coordinate's minimum to 0."""
+    d = len(points[0])
+    images = []
+    for perm in itertools.permutations(range(d)) if permute else [tuple(range(d))]:
+        moved = [tuple(p[i] for i in perm) for p in points]
+        low = [min(col) for col in zip(*moved)]
+        images.append(tuple(sorted(tuple(c - m for c, m in zip(p, low)) for p in moved)))
+    return min(images)
 
-    s = spec(n=3, box=(2, 2), require_full_dim=True)
-    pts = lattice_points(s.box)
-    best = None
-    for subset in itertools.combinations(pts, 3):
-        from sumlab.linalg import affine_rank
 
-        if affine_rank(subset) != 2:
+def _affine_rank(points):
+    rows = [[Fraction(c - b) for c, b in zip(p, points[0])] for p in points[1:]]
+    return len(_fraction_rref(rows)[1])
+
+
+@pytest.mark.parametrize(
+    "d, n, box, full",
+    [
+        (1, 4, (6,), False),
+        (2, 3, (2, 2), True),
+        (2, 4, (3, 3), False),
+        (2, 4, (2, 4), True),
+        (2, 3, (0, 6), False),
+        (3, 4, (1, 1, 2), True),
+    ],
+    ids=["d1", "d2-full", "d2", "d2-nonuniform", "d2-degenerate", "d3"],
+)
+def test_exhaustive_matches_brute_force(d, n, box, full):
+    # independent oracle: every n-subset of the box, Fraction difference counts
+    best, minimisers = None, set()
+    for subset in itertools.combinations(itertools.product(*(range(m + 1) for m in box)), n):
+        if full and _affine_rank(subset) != d:
             continue
         value = oracle_diff_count(subset)
-        best = value if best is None else min(best, value)
-    assert exhaustive_min_diff(s).best_value == best
+        if best is None or value < best:
+            best, minimisers = value, set()
+        if value == best:
+            minimisers.add(_translate_permute_canonical(subset, len(set(box)) == 1))
+    result = exhaustive_min_diff(SearchSpec(d, n, box, EXHAUSTIVE, seed=0, require_full_dim=full))
+    assert result.best_value == best
+    assert [w.points for w in result.witnesses] == sorted(minimisers)[:32]
 
 
 def test_exhaustive_threads_merge():
