@@ -104,6 +104,10 @@ def bound_value(claim: str, **params) -> Fraction:
     if claim not in CLAIM_IDS:
         raise ValueError(f"unknown claim {claim!r}")
     p = params
+    # the planar claims' formulas do not take d; every other formula needs d >= 1, or >= 2
+    low = 2 if claim in _NEEDS_D2 else 1
+    if claim not in _PLANAR and p.get("d") is not None and p["d"] < low:
+        raise ValueError(f"{claim} needs dimension d >= {low}; got d = {p['d']}")
     if claim in ("FREIMAN_SUM", "FHU_DIFF"):
         d, n = _need(p, "d", "n")
         return Fraction((d + 1) * n) - Fraction(d * (d + 1), 2)
@@ -140,8 +144,6 @@ def bound_value(claim: str, **params) -> Fraction:
 
 
 def _main_bound(d: int, n: int) -> Fraction:
-    if d < 2:
-        raise ValueError("bound needs d >= 2")
     return (2 * d - 2 + Fraction(1, d - 1)) * n - (2 * d * d - 4 * d + 3)
 
 

@@ -24,7 +24,7 @@ from .bounds import (
 from .compression import CompressionSpec, TraceStep, compress, reduce as reduce_lines
 from .constructions import CONSTRUCTIONS
 from .incidence import Direction, Hyperplane, line_partition, min_line_cover
-from .pointset import PointSet, affine_dimension, apply_affine, difference_set, parse_rational, sumset
+from .pointset import _INTEGER_RE, PointSet, affine_dimension, apply_affine, difference_set, parse_rational, sumset
 from .search import EXHAUSTIVE, RANDOM, BudgetExceededError, SearchSpec, exhaustive_min_diff, random_probe
 from .verify import SUITES, VerifySuite, verify_battery
 
@@ -37,17 +37,10 @@ def _load_pointset(path: str, hashes: dict) -> PointSet:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    items = text.split(",")
+    if not all(_INTEGER_RE.fullmatch(x) for x in items):
+        raise ValueError(f"expected comma-separated integers, got {text!r}")
+    return tuple(int(x) for x in items)
 
 
 def _emit(report: dict | str, args) -> None:
@@ -144,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--as-conjecture", action="store_true")
     p.add_argument("--require-full-dim", action="store_true")
     p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--budget", type=int, default=10**8)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
@@ -308,7 +300,7 @@ def _cmd_search(args, hashes) -> tuple[dict, int]:
         budget=args.budget,
     )
     if spec.mode == EXHAUSTIVE:
-        result = exhaustive_min_diff(spec, prune=not args.no_prune, threads=args.threads)
+        result = exhaustive_min_diff(spec, prune=not args.no_prune)
     else:
         result = random_probe(spec)
     report = result.to_json()

@@ -20,12 +20,14 @@ from .linalg import affine_rank, invert_matrix, mat_vec
 Rational = Fraction
 Point = tuple[Fraction, ...]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+# ASCII digits only, matched against the whole string (no trailing newline)
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+_RATIONAL_RE = re.compile(rf"{_INTEGER_RE.pattern}(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "3" or "-1/2"; rejects floats, whitespace and zero denominators."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not an integer or p/q rational string: {text!r}")
     try:
         return Fraction(text)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
@@ -204,37 +203,18 @@ def _random_direction(rng: random.Random, d: int) -> Direction:
 def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 1) -> SearchResult:
     """Exact minimum of |A - A| over canonical n-subsets of the box lattice.
 
-    Deterministic and seed-independent.  With threads > 1 the top-level
-    first-point blocks run in separate processes, each with an independent
-    pruning bound; the merge is a deterministic min-reduce, so the minimum
-    and witness set match the sequential run exactly (candidate counts are
-    per-block and may differ from a shared-bound sequential run).
+    Deterministic and seed-independent.  The walk runs in one process, so
+    threads must be 1.
     """
     if spec.mode != EXHAUSTIVE:
         raise ValueError("exhaustive_min_diff needs an EXHAUSTIVE spec")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads != 1:
+        raise ValueError(f"the exhaustive walk runs in one process, so threads must be 1; got {threads}")
     if spec.claim is not None and (spec.claim in _NEEDS_B or spec.claim in _NEEDS_L):
         raise ValueError(f"claim {spec.claim} needs operands exhaustive mode does not generate")
-    volume = spec.volume()
-    first_max = volume - spec.n + 1
-    if threads > 1 and first_max > 1:
-        blocks = [(spec, prune, i, i + 1) for i in range(first_max)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(_search_block, blocks))
-    else:
-        partials = [_search_block((spec, prune, 0, first_max))]
-    best = min(p[0] for p in partials)
-    if best > volume * volume:
+    best, witnesses, examined, violations = _walk(spec, prune)
+    if best > spec.volume() ** 2:
         raise ValueError("no candidate subset satisfied the dimension requirement")
-    witnesses: set[tuple[IntPoint, ...]] = set()
-    examined = 0
-    violations: list[ClaimReport] = []
-    for value, wits, count, viols in partials:
-        examined += count
-        violations.extend(viols)
-        if value == best:
-            witnesses.update(wits)
     return _search_result(spec, best, witnesses, examined, violations)
 
 
@@ -249,8 +229,7 @@ def _search_result(spec: SearchSpec, best: int, witnesses: set, examined: int, v
     return SearchResult(spec, best, witness_sets, examined, tuple(violations))
 
 
-def _search_block(args) -> tuple[int, set[tuple[IntPoint, ...]], int, list[ClaimReport]]:
-    spec, prune, first_lo, first_hi = args
+def _walk(spec: SearchSpec, prune: bool) -> tuple[int, set[tuple[IntPoint, ...]], int, list[ClaimReport]]:
     points = lattice_points(spec.box)
     codes = _pack(points, spec.box)
     total = len(points)
@@ -285,9 +264,7 @@ def _search_block(args) -> tuple[int, set[tuple[IntPoint, ...]], int, list[Claim
                 witnesses.add(ordered)
             return
         remaining = spec.n - len(chosen)
-        lo = first_lo if not chosen else start
-        hi = first_hi if not chosen else total - remaining + 1
-        for idx in range(lo, hi):
+        for idx in range(start, total - remaining + 1):
             p = codes[idx]
             added = {p - codes[i] for i in chosen}
             added |= {-delta for delta in added}

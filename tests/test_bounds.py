@@ -47,6 +47,24 @@ def test_bound_value_missing_params():
         bound_value("NOPE", d=3, n=4)
 
 
+@pytest.mark.parametrize(
+    "claim, params, low",
+    [
+        ("TWOPLANES_1", dict(d=1, n=5, a1=2), 2),
+        ("DLINES", dict(d=0, n=5), 2),
+        ("LINES_4D", dict(d=1, n=5, eps=Fraction(1, 2), c_d=3), 2),
+        ("STAN_DOUBLING", dict(d=0, n=5), 2),
+        ("FREIMAN_SUM", dict(d=-3, n=5), 1),
+        ("RUZSA_ASYM", dict(d=0, n=5, m=2), 1),
+    ],
+    ids=["TWOPLANES_1-d1", "DLINES-d0", "LINES_4D-d1", "STAN_DOUBLING-d0", "FREIMAN_SUM-d-3", "RUZSA_ASYM-d0"],
+)
+def test_bound_value_rejects_low_dimension(claim, params, low):
+    # a formula with 1/(d-1) or 2/d must not divide by zero, and none may evaluate below its dimension
+    with pytest.raises(ValueError, match=f"{claim} needs dimension d >= {low}; got d = {params['d']}"):
+        bound_value(claim, **params)
+
+
 def test_main_bound_monotone_in_n():
     for d in (2, 3, 4):
         values = [bound_value("MAIN", d=d, n=n) for n in range(5, 40)]

@@ -107,11 +107,53 @@ def test_bounds_eps_and_cd():
     assert code == 0 and blob["value"] == "187/3" and blob["params"]["eps"] == "1/10"
 
 
-@pytest.mark.parametrize("flag, value", [("--eps", " 1/10"), ("--eps", "1e1"), ("--eps", "0.1"), ("--cd", "2.0"), ("--cd", "2 ")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--eps", " 1/10"), ("--eps", "1e1"), ("--eps", "0.1"), ("--cd", "2.0"), ("--cd", "2 "),
+        ("--eps", "1/10\n"), ("--eps", "\u0661/10"), ("--eps", "\uff11/\uff11\uff10"), ("--cd", "2\n"),
+    ],
+)
 def test_bounds_rejects_lax_rationals(flag, value):
     argv = {"--eps": "1/10", "--cd": "2", flag: value}
     code, _ = run_cli(["bounds", "--claim", "LINES_4D", "--d", "4", "--n", "10", *sum(argv.items(), ())])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--claim", "TWOPLANES_1", "--d", "1", "--n", "5", "--a1", "2"],
+        ["--claim", "DLINES", "--d", "0", "--n", "5"],
+        ["--claim", "LINES_4D", "--d", "1", "--n", "5", "--eps", "1/2", "--cd", "3"],
+    ],
+    ids=["TWOPLANES_1-d1", "DLINES-d0", "LINES_4D-d1"],
+)
+def test_bounds_low_dimension_is_input_error(capsys, argv):
+    code, out = run_cli(["bounds", *argv])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["1_0", " 2", "+2", "2\n", "\u0662", "2,\uff13"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["compress", "--normal", "1,0", "--offset", "{}", "--direction", "1,-1"],
+        ["compress", "--normal", "1,0", "--offset", "0", "--direction", "1,{}"],
+        ["lines", "--direction", "0,{}"],
+        ["search", "--mode", "exhaustive", "--d", "2", "--n", "3", "--box", "{}", "--seed", "1"],
+        ["verify", "--suite", "constructions", "--seed", "1", "--dims", "{}"],
+    ],
+    ids=["offset", "direction", "lines-direction", "box", "dims"],
+)
+def test_number_text_is_strict(square, capsys, command, value):
+    argv = [arg.format(value) for arg in command]
+    if argv[0] in ("compress", "lines"):
+        argv += ["--input", square]
+    code, out = run_cli(argv)
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -193,8 +235,9 @@ def test_search_budget_exit():
     assert code == 3
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_search_threads_below_one_is_usage_error(threads):
+@pytest.mark.parametrize("threads", ["0", "-2", "1", "2"])
+def test_search_threads_flag_is_usage_error(threads):
+    # the exhaustive walk runs in one process and search has no --threads flag
     with pytest.raises(SystemExit) as info:
         cli_dispatch(["search", "--mode", "exhaustive", "--d", "2", "--n", "4", "--box", "3",
                       "--seed", "5", "--threads", threads])

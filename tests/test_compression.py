@@ -197,7 +197,11 @@ def test_trace_from_json_rejects_float_direction_and_hyperplane():
             CompressionTrace.from_json(blob)
 
 
-@pytest.mark.parametrize("bad", ["00", ["0", "0", "0"]], ids=["string", "three-coordinates"])
+@pytest.mark.parametrize(
+    "bad",
+    ["00", ["0", "0", "0"], ["0\n", "0"], ["\u0660", "0"], ["0", "\uff10/\uff11"]],
+    ids=["string", "three-coordinates", "trailing-newline", "arabic-indic-digit", "fullwidth-digits"],
+)
 def test_trace_from_json_rejects_malformed_map_points(bad):
     # map points follow the point-set JSON rule: a list of coordinates, one per axis
     square = pset(2, [(0, 0), (0, 1), (1, 0), (1, 1)])

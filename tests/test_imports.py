@@ -1,12 +1,15 @@
 """The package promises no runtime dependencies: it imports the standard library and itself only."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "sumlab").glob("*.py"))
+SRC = Path(__file__).parent.parent / "src"
+SOURCES = sorted((SRC / "sumlab").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -30,3 +33,13 @@ def test_imports_are_stdlib_or_relative(path):
 
 def test_every_module_is_checked():
     assert {"__init__.py", "search.py", "cli.py"} <= {p.name for p in SOURCES}
+
+
+def test_import_starts_no_process_machinery():
+    # the search runs in one process, so importing the package loads no process pool
+    # (threading is left out: site loads it on some interpreters)
+    heavy = ("multiprocessing", "concurrent.futures", "subprocess")
+    probe = f"import sys, sumlab; print(','.join(m for m in {heavy!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""

@@ -173,6 +173,12 @@ def test_json_rejects_duplicates_and_floats():
         ({"dim": 1, "points": [[1.5]]}, "float coordinate 1.5 rejected"),
         ({"dim": True, "points": [["1"]]}, "bad dimension: True"),
         ({"dim": 1, "points": "12"}, "'points' must be a list"),
+        # number text is ASCII digits matched against the whole string
+        ({"dim": 2, "points": [["1\n", "\u0662"]]}, r"string: '1\\n'"),
+        ({"dim": 2, "points": [["1/2\n", "2"]]}, r"string: '1/2\\n'"),
+        ({"dim": 1, "points": [["\u0661"]]}, "rational string"),
+        ({"dim": 1, "points": [["\uff11/\uff12"]]}, "rational string"),
+        ({"dim": 1, "points": [["1_0"]]}, "rational string"),
     ],
 )
 def test_json_rejects_non_point_values(blob, message):

@@ -120,18 +120,47 @@ def test_exhaustive_matches_brute_force(d, n, box, full):
     assert [w.points for w in result.witnesses] == sorted(minimisers)[:32]
 
 
-def test_exhaustive_threads_merge():
-    s = spec(require_full_dim=True)
-    sequential = exhaustive_min_diff(s, threads=1)
-    parallel = exhaustive_min_diff(s, threads=2)
-    assert sequential.best_value == parallel.best_value
-    assert sequential.witnesses == parallel.witnesses
+@pytest.mark.parametrize(
+    "d, n, box, full, best, witnesses, examined_pruned, examined_unpruned",
+    [
+        (1, 4, (6,), False, 7, [((0,), (1,), (2,), (3,)), ((0,), (2,), (4,), (6,))], 5, 35),
+        (
+            2, 4, (1, 2), True, 9,
+            [
+                ((0, 0), (0, 1), (1, 0), (1, 1)),
+                ((0, 0), (0, 1), (1, 1), (1, 2)),
+                ((0, 0), (0, 2), (1, 0), (1, 2)),
+                ((0, 1), (0, 2), (1, 0), (1, 1)),
+            ],
+            8, 15,
+        ),
+        (
+            3, 4, (1, 1, 1), False, 9,
+            [
+                ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)),
+                ((0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)),
+                ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)),
+            ],
+            12, 70,
+        ),
+    ],
+    ids=["d1", "d2-full", "d3"],
+)
+def test_exhaustive_pinned_walk(d, n, box, full, best, witnesses, examined_pruned, examined_unpruned):
+    # frozen from the sequential walk: the minimum, every witness and the leaf count
+    s = SearchSpec(d, n, box, EXHAUSTIVE, seed=0, require_full_dim=full)
+    for prune, examined in ((True, examined_pruned), (False, examined_unpruned)):
+        result = exhaustive_min_diff(s, prune=prune)
+        assert result.best_value == best
+        assert [w.points for w in result.witnesses] == witnesses
+        assert result.candidates_examined == examined
 
 
-@pytest.mark.parametrize("threads", [0, -1])
-def test_exhaustive_rejects_threads_below_one(threads):
-    with pytest.raises(ValueError, match="threads"):
+@pytest.mark.parametrize("threads", [0, -1, 2])
+def test_exhaustive_rejects_threads_other_than_one(threads):
+    with pytest.raises(ValueError, match="one process"):
         exhaustive_min_diff(spec(), threads=threads)
+    assert exhaustive_min_diff(spec(), threads=1).best_value == exhaustive_min_diff(spec()).best_value
 
 
 def test_budget_guardrail():
