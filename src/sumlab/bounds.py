@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .incidence import Direction, hyperplane_slices, line_partition, major_hyperplane, min_line_cover
-from .pointset import PointSet, affine_dimension, difference_set, format_rational, sumset
+from .pointset import PointSet, affine_dimension, difference_count, format_rational, sumset, sumset_count
 
 CLAIM_IDS = (
     "FREIMAN_SUM",
@@ -194,17 +194,17 @@ def check_claim(
 
     if claim == "FREIMAN_SUM":
         hyp = full_dim
-        lhs = Fraction(len(sumset(a, a)))
+        lhs = Fraction(sumset_count(a, a))
         rhs = bound_value(claim, d=d, n=n)
         concl = lhs >= rhs
     elif claim == "FHU_DIFF":
         hyp = full_dim
-        lhs = Fraction(len(difference_set(a, a)))
+        lhs = Fraction(difference_count(a, a))
         rhs = bound_value(claim, d=d, n=n)
         concl = lhs >= rhs
     elif claim == "MAIN":
         hyp = full_dim
-        lhs = Fraction(len(difference_set(a, a)))
+        lhs = Fraction(difference_count(a, a))
         rhs = bound_value(claim, d=d, n=n)
         concl = lhs >= rhs
         guarded = not as_conjecture
@@ -220,14 +220,14 @@ def check_claim(
         r1 = line_partition(a, l).count
         r2 = line_partition(b, l).count
         hyp = True
-        lhs = Fraction(len(sumset(a, b)))
+        lhs = Fraction(sumset_count(a, b))
         rhs = bound_value(claim, n=n, r1=r1, m=len(b), r2=r2)
         concl = lhs >= rhs
     elif claim == "LEMMA_BASE_2D":
         assert b is not None and l is not None
         r1 = line_partition(a, l).count
         hyp = len(a) >= len(b) and below_sqrt_threshold(
-            len(sumset(a, b)), bound_value(claim, n=n, m=len(b)), 5, n
+            sumset_count(a, b), bound_value(claim, n=n, m=len(b)), 5, n
         )
         lhs = Fraction(r1)
         rhs = Fraction(n, 4)
@@ -236,13 +236,13 @@ def check_claim(
         assert b is not None and l is not None
         r = line_partition(a, l).count
         hyp = full_dim and len(a) >= len(b) and below_sqrt_threshold(
-            len(sumset(a, b)), bound_value(claim, d=d, n=n, m=len(b)), 2 ** (d + 1), n
+            sumset_count(a, b), bound_value(claim, d=d, n=n, m=len(b)), 2 ** (d + 1), n
         )
         lhs = Fraction(r)
         rhs = Fraction(n, 4)
         concl = r == d or lhs > rhs
     elif claim == "STAN_DOUBLING":
-        doubling = len(sumset(a, a))
+        doubling = sumset_count(a, a)
         hyp = full_dim and Fraction(doubling) < bound_value(claim, d=d, n=n)
         _, cover = min_line_cover(a) if len(a) >= 2 else (None, 1)
         lhs = Fraction(cover)
@@ -252,20 +252,20 @@ def check_claim(
     elif claim == "DLINES":
         _, cover = min_line_cover(a) if len(a) >= 2 else (None, 1)
         hyp = full_dim and cover <= d
-        lhs = Fraction(len(difference_set(a, a)))
+        lhs = Fraction(difference_count(a, a))
         rhs = bound_value(claim, d=d, n=n)
         concl = lhs >= rhs
     elif claim == "TWOPLANES_1":
         assert l is not None
         hyp, a1_size = _twoplanes_hypothesis(a, l)
-        lhs = Fraction(len(difference_set(a, a)))
+        lhs = Fraction(difference_count(a, a))
         rhs = bound_value(claim, d=d, n=n, a1=a1_size)
         concl = lhs >= rhs
     elif claim == "LINES_4D":
         assert l is not None
         sizes = line_partition(a, l).class_sizes()
         hyp = full_dim and all(size >= 4 * d for size in sizes)
-        lhs = Fraction(len(difference_set(a, a)))
+        lhs = Fraction(difference_count(a, a))
         rhs = bound_value(claim, d=d, n=n)
         concl = lhs >= rhs
         guarded = True

@@ -24,7 +24,16 @@ from .bounds import (
 from .compression import CompressionSpec, TraceStep, compress, reduce as reduce_lines
 from .constructions import CONSTRUCTIONS
 from .incidence import Direction, Hyperplane, line_partition, min_line_cover
-from .pointset import _INTEGER_RE, PointSet, affine_dimension, apply_affine, difference_set, parse_rational, sumset
+from .pointset import (
+    _INTEGER_RE,
+    PointSet,
+    affine_dimension,
+    apply_affine,
+    difference_set,
+    parse_rational,
+    sumset,
+    sumset_count,
+)
 from .search import EXHAUSTIVE, RANDOM, BudgetExceededError, SearchSpec, exhaustive_min_diff, random_probe
 from .verify import SUITES, VerifySuite, verify_battery
 
@@ -41,6 +50,20 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     if not all(_INTEGER_RE.fullmatch(x) for x in items):
         raise ValueError(f"expected comma-separated integers, got {text!r}")
     return tuple(int(x) for x in items)
+
+
+# read as text by argparse, whose type=int also takes "1_0", " 2" and "+2"
+_INT_FLAGS = ("d", "n", "k", "m", "r1", "r2", "a1", "seed", "trials", "budget")
+
+
+def _parse_int_flags(args) -> None:
+    """Replace each integer flag given as text by its value, with the grammar of _parse_ints."""
+    for key in _INT_FLAGS:
+        text = getattr(args, key, None)
+        if isinstance(text, str):
+            if not _INTEGER_RE.fullmatch(text):
+                raise ValueError(f"--{key} expects an integer, got {text!r}")
+            setattr(args, key, int(text))
 
 
 def _emit(report: dict | str, args) -> None:
@@ -102,19 +125,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", parents=[common], help="emit a named construction")
     p.add_argument("name", choices=sorted(CONSTRUCTIONS))
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--d", required=True)
+    p.add_argument("--k")
+    p.add_argument("--n")
     p.add_argument("--lengths", help="comma-separated AP lengths")
 
     p = sub.add_parser("bounds", parents=[common], help="evaluate a bound formula")
     p.add_argument("--claim", required=True, choices=CLAIM_IDS)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--r1", type=int)
-    p.add_argument("--r2", type=int)
-    p.add_argument("--a1", type=int)
+    p.add_argument("--d")
+    p.add_argument("--n")
+    p.add_argument("--m")
+    p.add_argument("--r1")
+    p.add_argument("--r2")
+    p.add_argument("--a1")
     p.add_argument("--eps")
     p.add_argument("--cd")
 
@@ -128,21 +151,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common], help="exhaustive or random difference-set search")
     p.add_argument("--mode", choices=("exhaustive", "random"), required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--d", required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--box", required=True, help="per-axis max coordinate, one int or comma-separated")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--trials")
+    p.add_argument("--seed")
     p.add_argument("--claim", choices=CLAIM_IDS)
     p.add_argument("--as-conjecture", action="store_true")
     p.add_argument("--require-full-dim", action="store_true")
     p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", default=10**8)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", default=100)
+    p.add_argument("--seed")
     p.add_argument("--dims", default="2,3,4,5")
 
     p = sub.add_parser("diagnose", parents=[common], help="near-extremal structure report")
@@ -196,8 +219,8 @@ def _cmd_compress(args, hashes) -> tuple[dict, int]:
         b = _load_pointset(args.b, hashes)
         b_image = compress(b, spec)[0]
         report["b_result"] = b_image.to_json()
-        report["sum_before"] = len(sumset(a, b))
-        report["sum_after"] = len(sumset(image, b_image))
+        report["sum_before"] = sumset_count(a, b)
+        report["sum_after"] = sumset_count(image, b_image)
     report["meta"] = _provenance(hashes)
     return report, 0
 
@@ -344,6 +367,7 @@ def cli_dispatch(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     hashes: dict[str, str] = {}
     try:
+        _parse_int_flags(args)
         report, code = _HANDLERS[args.command](args, hashes)
     except (BudgetExceededError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

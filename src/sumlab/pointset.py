@@ -164,6 +164,20 @@ def difference_set(a: PointSet, b: PointSet) -> PointSet:
     return _from_integers(a.dim, scale, {tuple(map(sub, p, q)) for p in pa for q in pb})
 
 
+def sumset_count(a: PointSet, b: PointSet) -> int:
+    """|A + B|, counted on integer tuples over one denominator without building the set."""
+    _require_pair(a, b)
+    _, pa, pb = _over_common_denominator(a, b)
+    return len({tuple(map(add, p, q)) for p in pa for q in pb})
+
+
+def difference_count(a: PointSet, b: PointSet) -> int:
+    """|A - B|, counted on integer tuples over one denominator without building the set."""
+    _require_pair(a, b)
+    _, pa, pb = _over_common_denominator(a, b)
+    return len({tuple(map(sub, p, q)) for p in pa for q in pb})
+
+
 def affine_dimension(a: PointSet) -> int:
     """Dimension of the affine span: rank of {p - p0}. 0 for singletons."""
     if not a.points:

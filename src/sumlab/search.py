@@ -1,14 +1,29 @@
 """Exhaustive and seeded randomized search for difference-set minimisers.
 
 Exhaustive enumeration walks n-subsets of a box lattice in lexicographic
-order, keeps only canonical representatives (lexicographically minimal under
-translation-to-origin, plus coordinate permutation when the box is uniform),
-and prunes admissibly: differences only grow as points are added, so a
-partial subset whose difference count already exceeds the best known value
-cannot complete to a minimiser.  The global floor |A - A| >= 2|A| - 1 (order
-the set by a generic linear functional) is implied and never over-prunes.
-Enabling or disabling pruning therefore never changes the minimum or the
-witness set, only the number of candidates examined.
+order and keeps only canonical representatives (lexicographically minimal
+under translation-to-origin, plus coordinate permutation when the box is
+uniform).  With pruning on, three admissible cuts skip subtrees; none can
+remove a canonical subset whose |A - A| is at most the best value found, so
+the minimum and the witness set are those of the full walk:
+
+- the first point has x_0 = 0.  A canonical set has each coordinate's
+  minimum at 0, and its first point, the lexicographic minimum, holds the
+  minimum x_0;
+- differences only grow as points are added, so a partial subset whose
+  difference count already exceeds the best value cannot complete to a
+  minimiser;
+- the look-ahead: lexicographic order is compatible with translation, so a
+  later point p makes p - chosen[0] larger than every difference so far,
+  and each of the r points still to place adds at least the two new
+  differences ±(p - chosen[0]).  A partial subset with
+  |S - S| + 2r > best is cut; ties survive, so tied witnesses are kept.
+
+The global floor |A - A| >= 2|A| - 1 is implied by the look-ahead.  The last
+point p is counted without updating the difference set: each chosen q with
+p - q not yet a difference adds p - q and q - p, and all of these differ.
+Enabling or disabling pruning never changes the minimum or the witness set,
+only the number of candidates examined.
 """
 
 from __future__ import annotations
@@ -24,7 +39,7 @@ from ._version import __version__
 from .bounds import COUNTEREXAMPLE, ClaimReport, check_claim, CLAIM_IDS, _NEEDS_B, _NEEDS_D2, _NEEDS_L, _PLANAR
 from .incidence import Direction
 from .linalg import affine_rank
-from .pointset import PointSet, difference_set
+from .pointset import PointSet, difference_count
 
 IntPoint = tuple[int, ...]
 
@@ -222,7 +237,7 @@ def _search_result(spec: SearchSpec, best: int, witnesses: set, examined: int, v
     """The result with the first WITNESS_CAP witnesses, each re-checked to attain best."""
     witness_sets = tuple(PointSet.of(spec.d, w) for w in sorted(witnesses)[:WITNESS_CAP])
     for w in witness_sets:
-        if len(difference_set(w, w)) != best:
+        if difference_count(w, w) != best:
             raise RuntimeError(f"witness {w.to_json()} does not have |W - W| = {best}")
         if spec.require_full_dim and affine_rank(w.points) != spec.d:
             raise RuntimeError(f"witness {w.to_json()} does not span dimension {spec.d}")
@@ -235,45 +250,60 @@ def _walk(spec: SearchSpec, prune: bool) -> tuple[int, set[tuple[IntPoint, ...]]
     total = len(points)
     uniform = len(set(spec.box)) == 1
     use_prune = prune and spec.claim is None
+    # lattice_points is lexicographic, so its first total // (box[0] + 1) points have x_0 = 0
+    first_stop = total // (spec.box[0] + 1) if use_prune else total
 
     best = total * total + 1
     witnesses: set[tuple[IntPoint, ...]] = set()
     examined = 0
     violations: list[ClaimReport] = []
     chosen: list[int] = []
+    chosen_codes: list[int] = []
     diffs = {0}
 
-    def walk(start: int) -> None:
+    def leaf(ordered: tuple[IntPoint, ...], value: int) -> None:
         nonlocal best, examined
-        if len(chosen) == spec.n:
-            examined += 1
-            ordered = tuple(points[i] for i in chosen)
-            if spec.require_full_dim and affine_rank(ordered) != spec.d:
-                return
-            if canonical_form(ordered, uniform) != ordered:
-                return
-            if spec.claim is not None:
-                report = _check_candidate_claim(spec, ordered, None)
-                if report.verdict == COUNTEREXAMPLE:
-                    violations.append(report)
-            value = len(diffs)
-            if value < best:
-                best = value
-                witnesses.clear()
-            if value == best:
-                witnesses.add(ordered)
+        examined += 1
+        if spec.require_full_dim and affine_rank(ordered) != spec.d:
             return
+        if canonical_form(ordered, uniform) != ordered:
+            return
+        if spec.claim is not None:
+            report = _check_candidate_claim(spec, ordered, None)
+            if report.verdict == COUNTEREXAMPLE:
+                violations.append(report)
+        if value < best:
+            best = value
+            witnesses.clear()
+        if value == best:
+            witnesses.add(ordered)
+
+    def walk(start: int) -> None:
         remaining = spec.n - len(chosen)
-        for idx in range(start, total - remaining + 1):
+        stop = total - remaining + 1 if chosen else min(total - remaining + 1, first_stop)
+        if remaining == 1:
+            # the last point p adds ±(p - q) for each chosen q with p - q not yet a difference
+            size = len(diffs) + 2 * len(chosen)
+            head = tuple(points[i] for i in chosen)
+            for idx in range(start, stop):
+                value = size - 2 * len(diffs.intersection(map(codes[idx].__sub__, chosen_codes)))
+                if not (use_prune and value > best):
+                    leaf(head + (points[idx],), value)
+            return
+        for idx in range(start, stop):
             p = codes[idx]
-            added = {p - codes[i] for i in chosen}
-            added |= {-delta for delta in added}
+            added = set(map(p.__sub__, chosen_codes))
             added -= diffs
+            # diffs is symmetric, so -delta is new exactly when delta is
+            added |= {-delta for delta in added}
             diffs.update(added)
             chosen.append(idx)
-            if not (use_prune and len(diffs) > best):
+            chosen_codes.append(p)
+            # each later point p' adds at least ±(p' - chosen[0]), larger than every difference so far
+            if not (use_prune and len(diffs) + 2 * (remaining - 1) > best):
                 walk(idx + 1)
             chosen.pop()
+            chosen_codes.pop()
             diffs.difference_update(added)
 
     walk(0)

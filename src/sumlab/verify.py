@@ -16,7 +16,7 @@ from .bounds import CONSISTENT, COUNTEREXAMPLE, check_claim
 from .compression import CompressionSpec, compress_pair, reduce as reduce_lines
 from .constructions import dlines_general_position, freiman_aps, stan_doubling_tight, stanchescu_dk
 from .incidence import Direction, Hyperplane, line_partition, min_line_cover, project_along
-from .pointset import PointSet, affine_dimension, difference_set, sumset, unit
+from .pointset import PointSet, affine_dimension, difference_count, sumset_count, unit
 from . import search
 from .search import EXHAUSTIVE, RANDOM, SearchSpec, exhaustive_min_diff, random_probe
 
@@ -68,7 +68,7 @@ def suite_constructions(cfg: VerifySuite) -> list[dict]:
     for d in [x for x in cfg.dims if x <= 5]:
         for k in range(1, 7):
             a = stanchescu_dk(d, k)
-            got = len(difference_set(a, a))
+            got = difference_count(a, a)
             want = (2 * d - 2 + Fraction(1, d - 1)) * len(a) - (2 * d * d - 4 * d + 3)
             if got != want:
                 failures.append({"d": d, "k": k, "got": got, "want": str(want)})
@@ -79,7 +79,7 @@ def suite_constructions(cfg: VerifySuite) -> list[dict]:
     for d in cfg.dims:
         for n in range(2, 7):
             a = stan_doubling_tight(d, n)
-            got = len(sumset(a, a))
+            got = sumset_count(a, a)
             want = (d + Fraction(4, 3)) * len(a) - Fraction(3 * d * d + 5 * d + 8, 6)
             if got != want:
                 failures.append({"d": d, "n": n, "got": got, "want": str(want)})
@@ -100,7 +100,7 @@ def suite_constructions(cfg: VerifySuite) -> list[dict]:
     for d in (1, 2, 3):
         for length in range(1, 7):
             a = freiman_aps(d, [length] * d)
-            got = len(sumset(a, a))
+            got = sumset_count(a, a)
             want = (d + 1) * len(a) - Fraction(d * (d + 1), 2)
             if got != want:
                 failures.append({"d": d, "length": length, "got": got, "want": str(want)})
@@ -145,7 +145,7 @@ def suite_compression(cfg: VerifySuite) -> list[dict]:
         pa, pb = compress_pair(a, b, spec)
         if len(pa) != len(a) or len(pb) != len(b):
             mono_failures.append({"trial": i, "kind": "cardinality"})
-        if len(sumset(pa, pb)) > len(sumset(a, b)):
+        if sumset_count(pa, pb) > sumset_count(a, b):
             mono_failures.append({"trial": i, "kind": "monotonicity", "a": a.to_json(), "b": b.to_json()})
         shadow = {project_along(p, spec.direction) for p in a.points}
         if {project_along(p, spec.direction) for p in pa.points} != shadow:
@@ -200,7 +200,7 @@ def reduce_properties_hold(a: PointSet, b: PointSet, l: Direction) -> list[str]:
     problems = []
     if len(a2) != len(a) or len(b2) != len(b):
         problems.append("cardinality")
-    if len(sumset(a2, b2)) > len(sumset(a, b)):
+    if sumset_count(a2, b2) > sumset_count(a, b):
         problems.append("sumset grew")
     part = line_partition(a2, Direction.of(unit(d, d - 1)))
     if part.count != s:

@@ -156,6 +156,28 @@ def test_number_text_is_strict(square, capsys, command, value):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["1_0", " 2", "+2"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["bounds", "--claim", "MAIN", "--d", "{}", "--n", "10"],
+        ["bounds", "--claim", "MAIN", "--d", "2", "--n", "{}"],
+        ["bounds", "--claim", "TWOPLANES_1", "--d", "3", "--n", "10", "--a1", "{}"],
+        ["construct", "stanchescu", "--d", "2", "--k", "{}"],
+        ["search", "--mode", "exhaustive", "--d", "2", "--n", "3", "--box", "2", "--seed", "{}"],
+        # comb(2, 1) = 2 subsets, within a budget of 2 or 10
+        ["search", "--mode", "exhaustive", "--d", "1", "--n", "1", "--box", "1", "--seed", "1", "--budget", "{}"],
+        ["search", "--mode", "random", "--d", "2", "--n", "3", "--box", "2", "--seed", "1", "--trials", "{}"],
+        ["verify", "--suite", "constructions", "--seed", "{}", "--dims", "2"],
+    ],
+    ids=["bounds-d", "bounds-n", "bounds-a1", "construct-k", "search-seed", "search-budget", "search-trials", "verify-seed"],
+)
+def test_integer_flags_are_strict(capsys, command, value):
+    code, out = run_cli([arg.format(value) for arg in command])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -6,7 +6,8 @@ denominators), general and collinear point sets, and sizes down to n = 2.
 Supporting hyperplanes and the major hyperplane range over d = 2..5, with
 sets of every affine rank and arbitrary directions; line partitions and
 hyperplane slices over d = 2..4, along random directions and along a
-difference of two set points. The search's packed `diff_count` ranges over
+difference of two set points. The counts `sumset_count` and
+`difference_count` range over the same operands as the sets. The search's packed `diff_count` ranges over
 integer sets in d = 1..4 with n = 1..12, negative coordinates, zero-span
 axes and collinear sets.
 """
@@ -29,6 +30,7 @@ from sumlab import (
     sumset,
     supporting_hyperplanes,
 )
+from sumlab.pointset import difference_count, sumset_count
 from sumlab.search import diff_count
 from conftest import (
     oracle_diff_count,
@@ -37,7 +39,9 @@ from conftest import (
     oracle_major_hyperplane,
     oracle_min_line_cover,
     oracle_pair_diffs,
+    oracle_pair_sum_count,
     oracle_pair_sums,
+    oracle_sum_count,
     oracle_supporting_hyperplanes,
 )
 
@@ -94,6 +98,24 @@ def test_difference_set_matches_oracle(case):
     result = difference_set(PointSet.of(d, pa), PointSet.of(d, pb))
     assert result.points == oracle_pair_diffs(pa, pb)
     assert _is_exact(result)
+
+
+@PROPERTY
+@given(operands())
+def test_sumset_count_matches_oracle(case):
+    d, pa, pb = case
+    a, b = PointSet.of(d, pa), PointSet.of(d, pb)
+    assert sumset_count(a, b) == oracle_pair_sum_count(pa, pb)
+    assert sumset_count(a, a) == oracle_sum_count(pa)
+
+
+@PROPERTY
+@given(operands())
+def test_difference_count_matches_oracle(case):
+    d, pa, pb = case
+    a, b = PointSet.of(d, pa), PointSet.of(d, pb)
+    assert difference_count(a, b) == len(oracle_pair_diffs(pa, pb))
+    assert difference_count(a, a) == oracle_diff_count(pa)
 
 
 @st.composite

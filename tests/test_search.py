@@ -1,7 +1,9 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -123,7 +125,7 @@ def test_exhaustive_matches_brute_force(d, n, box, full):
 @pytest.mark.parametrize(
     "d, n, box, full, best, witnesses, examined_pruned, examined_unpruned",
     [
-        (1, 4, (6,), False, 7, [((0,), (1,), (2,), (3,)), ((0,), (2,), (4,), (6,))], 5, 35),
+        (1, 4, (6,), False, 7, [((0,), (1,), (2,), (3,)), ((0,), (2,), (4,), (6,))], 2, 35),
         (
             2, 4, (1, 2), True, 9,
             [
@@ -141,19 +143,40 @@ def test_exhaustive_matches_brute_force(d, n, box, full):
                 ((0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)),
                 ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)),
             ],
-            12, 70,
+            11, 70,
         ),
     ],
     ids=["d1", "d2-full", "d3"],
 )
 def test_exhaustive_pinned_walk(d, n, box, full, best, witnesses, examined_pruned, examined_unpruned):
-    # frozen from the sequential walk: the minimum, every witness and the leaf count
+    # frozen from the sequential walk: the minimum, every witness and the leaf count, which
+    # with pruning on reflects the first-point and look-ahead cuts
     s = SearchSpec(d, n, box, EXHAUSTIVE, seed=0, require_full_dim=full)
     for prune, examined in ((True, examined_pruned), (False, examined_unpruned)):
         result = exhaustive_min_diff(s, prune=prune)
         assert result.best_value == best
         assert [w.points for w in result.witnesses] == witnesses
         assert result.candidates_examined == examined
+
+
+MINIMA = json.loads((Path(__file__).resolve().parents[1] / "sumbench" / "minima.json").read_text())
+
+
+def _minima_spec(key):
+    # keys read "d=2 n=5 box=3x3 full=1"
+    d, n, box, full = re.fullmatch(r"d=(\d+) n=(\d+) box=([\dx]+) full=([01])", key).groups()
+    return SearchSpec(int(d), int(n), tuple(map(int, box.split("x"))), EXHAUSTIVE, seed=0, require_full_dim=full == "1")
+
+
+@pytest.mark.parametrize("key", sorted(MINIMA))
+def test_exhaustive_minima_gate(key):
+    # the committed minima table: pruning keeps the minimum and every witness, and only cuts candidates
+    s = _minima_spec(key)
+    pruned = exhaustive_min_diff(s, prune=True)
+    full = exhaustive_min_diff(s, prune=False)
+    assert pruned.best_value == full.best_value == MINIMA[key]
+    assert [w.points for w in pruned.witnesses] == [w.points for w in full.witnesses]
+    assert pruned.candidates_examined <= full.candidates_examined
 
 
 @pytest.mark.parametrize("threads", [0, -1, 2])
