@@ -150,32 +150,31 @@ def _from_integers(dim: int, scale: int, points: set[tuple[int, ...]]) -> PointS
     return PointSet(dim, tuple(tuple(map(fracs.__getitem__, p)) for p in sorted(points)))
 
 
-def sumset(a: PointSet, b: PointSet) -> PointSet:
-    """All pairwise sums a + b, deduplicated exactly (in integers over one denominator)."""
+def _pairwise(a: PointSet, b: PointSet, op) -> tuple[int, set[tuple[int, ...]]]:
+    """(scale, the distinct op(p, q) for p in a, q in b, as integer points over scale)."""
     _require_pair(a, b)
     scale, pa, pb = _over_common_denominator(a, b)
-    return _from_integers(a.dim, scale, {tuple(map(add, p, q)) for p in pa for q in pb})
+    return scale, {tuple(map(op, p, q)) for p in pa for q in pb}
+
+
+def sumset(a: PointSet, b: PointSet) -> PointSet:
+    """All pairwise sums a + b, deduplicated exactly (in integers over one denominator)."""
+    return _from_integers(a.dim, *_pairwise(a, b, add))
 
 
 def difference_set(a: PointSet, b: PointSet) -> PointSet:
     """All pairwise differences a - b, deduplicated exactly (in integers over one denominator)."""
-    _require_pair(a, b)
-    scale, pa, pb = _over_common_denominator(a, b)
-    return _from_integers(a.dim, scale, {tuple(map(sub, p, q)) for p in pa for q in pb})
+    return _from_integers(a.dim, *_pairwise(a, b, sub))
 
 
 def sumset_count(a: PointSet, b: PointSet) -> int:
     """|A + B|, counted on integer tuples over one denominator without building the set."""
-    _require_pair(a, b)
-    _, pa, pb = _over_common_denominator(a, b)
-    return len({tuple(map(add, p, q)) for p in pa for q in pb})
+    return len(_pairwise(a, b, add)[1])
 
 
 def difference_count(a: PointSet, b: PointSet) -> int:
     """|A - B|, counted on integer tuples over one denominator without building the set."""
-    _require_pair(a, b)
-    _, pa, pb = _over_common_denominator(a, b)
-    return len({tuple(map(sub, p, q)) for p in pa for q in pb})
+    return len(_pairwise(a, b, sub)[1])
 
 
 def affine_dimension(a: PointSet) -> int:

@@ -258,7 +258,6 @@ def _walk(spec: SearchSpec, prune: bool) -> tuple[int, set[tuple[IntPoint, ...]]
     examined = 0
     violations: list[ClaimReport] = []
     chosen: list[int] = []
-    chosen_codes: list[int] = []
     diffs = {0}
 
     def leaf(ordered: tuple[IntPoint, ...], value: int) -> None:
@@ -281,29 +280,28 @@ def _walk(spec: SearchSpec, prune: bool) -> tuple[int, set[tuple[IntPoint, ...]]
     def walk(start: int) -> None:
         remaining = spec.n - len(chosen)
         stop = total - remaining + 1 if chosen else min(total - remaining + 1, first_stop)
+        taken = [codes[i] for i in chosen]
         if remaining == 1:
             # the last point p adds ±(p - q) for each chosen q with p - q not yet a difference
-            size = len(diffs) + 2 * len(chosen)
+            size = len(diffs) + 2 * len(taken)
             head = tuple(points[i] for i in chosen)
             for idx in range(start, stop):
-                value = size - 2 * len(diffs.intersection(map(codes[idx].__sub__, chosen_codes)))
+                value = size - 2 * len(diffs.intersection(map(codes[idx].__sub__, taken)))
                 if not (use_prune and value > best):
                     leaf(head + (points[idx],), value)
             return
         for idx in range(start, stop):
             p = codes[idx]
-            added = set(map(p.__sub__, chosen_codes))
+            added = set(map(p.__sub__, taken))
             added -= diffs
             # diffs is symmetric, so -delta is new exactly when delta is
             added |= {-delta for delta in added}
             diffs.update(added)
             chosen.append(idx)
-            chosen_codes.append(p)
             # each later point p' adds at least ±(p' - chosen[0]), larger than every difference so far
             if not (use_prune and len(diffs) + 2 * (remaining - 1) > best):
                 walk(idx + 1)
             chosen.pop()
-            chosen_codes.pop()
             diffs.difference_update(added)
 
     walk(0)
