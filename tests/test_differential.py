@@ -7,9 +7,10 @@ Supporting hyperplanes and the major hyperplane range over d = 2..5, with
 sets of every affine rank and arbitrary directions; line partitions and
 hyperplane slices over d = 2..4, along random directions and along a
 difference of two set points. The counts `sumset_count` and
-`difference_count` range over the same operands as the sets. The search's packed `diff_count` ranges over
-integer sets in d = 1..4 with n = 1..12, negative coordinates, zero-span
-axes and collinear sets.
+`difference_count` range over the same operands as the sets, and over each
+operand with itself. The search's packed `diff_count` ranges over integer
+sets in d = 1..4 with n = 1..12, negative coordinates, zero-span axes and
+collinear sets.
 """
 
 from fractions import Fraction
