@@ -132,19 +132,12 @@ def bound_value(claim: str, **params) -> Fraction:
     if claim == "TWOPLANES_1":
         d, n, a1 = _need(p, "d", "n", "a1")
         return Fraction((2 * d - 2) * n) + Fraction(2, d - 1) * a1 - (2 * d * d - 4 * d + 3)
-    if claim == "LINES_4D":
+    if claim in ("LINES_4D", "MAIN"):
         d, n = _need(p, "d", "n")
-        if p.get("eps") is not None and p.get("c_d") is not None:
+        if claim == "LINES_4D" and p.get("eps") is not None and p.get("c_d") is not None:
             return (2 * d - 2 + Fraction(1, d - 1) + Fraction(p["eps"])) * n - Fraction(p["c_d"])
-        return _main_bound(d, n)
-    if claim == "MAIN":
-        d, n = _need(p, "d", "n")
-        return _main_bound(d, n)
+        return (2 * d - 2 + Fraction(1, d - 1)) * n - (2 * d * d - 4 * d + 3)
     raise AssertionError(claim)
-
-
-def _main_bound(d: int, n: int) -> Fraction:
-    return (2 * d - 2 + Fraction(1, d - 1)) * n - (2 * d * d - 4 * d + 3)
 
 
 _NEEDS_B = {"RUZSA_ASYM", "GS_LINES", "LEMMA_BASE_2D", "ASYM_THM"}

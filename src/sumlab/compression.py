@@ -11,11 +11,10 @@ point" while recording every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 
 from .incidence import Direction, Hyperplane, line_partition
-from .linalg import greedy_basis
-from .pointset import AffineMap, Point, PointSet, affine_dimension, apply_affine, coerce_point, unit
+from .linalg import affine_basis
+from .pointset import AffineMap, Point, PointSet, _json_fields, affine_dimension, apply_affine, coerce_point, unit
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,8 @@ class CompressionSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CompressionSpec":
-        return cls(Hyperplane.from_json(obj["hyperplane"]), Direction.from_json(obj["direction"]))
+        hyperplane, direction = _json_fields(obj, "compression step", "hyperplane", "direction")
+        return cls(Hyperplane.from_json(hyperplane), Direction.from_json(direction))
 
 
 def compress(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, dict[Point, Point]]:
@@ -75,6 +75,10 @@ def compress_pair(a: PointSet, b: PointSet, spec: CompressionSpec) -> tuple[Poin
 class TraceStep:
     spec: CompressionSpec
     mapping: tuple[tuple[Point, Point], ...]
+
+    def __post_init__(self):
+        if not len(self.mapping) == len({p for p, _ in self.mapping}) == len({q for _, q in self.mapping}):
+            raise ValueError("a trace step must map distinct points to distinct images, or replay shrinks the set")
 
     def to_json(self) -> dict:
         out = self.spec.to_json()
@@ -124,12 +128,18 @@ class CompressionTrace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CompressionTrace":
+        (raw_steps,) = _json_fields(obj, "trace", "steps")
+        if not isinstance(raw_steps, list):
+            raise ValueError(f"'steps' must be a list of steps, got {raw_steps!r}")
         affine = obj.get("initial_affine")
         steps = []
-        for raw in obj["steps"]:
+        for raw in raw_steps:
             spec = CompressionSpec.from_json(raw)
             dim = len(spec.direction.vec)
-            mapping = tuple((coerce_point(pre, dim), coerce_point(post, dim)) for pre, post in raw["map"])
+            (pairs,) = _json_fields(raw, "compression step", "map")
+            if not isinstance(pairs, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+                raise ValueError(f"'map' must be a list of [point, image] pairs, got {pairs!r}")
+            mapping = tuple((coerce_point(pre, dim), coerce_point(post, dim)) for pre, post in pairs)
             steps.append(TraceStep(spec, mapping))
         return cls(tuple(steps), None if affine is None else AffineMap.from_json(affine))
 
@@ -160,7 +170,7 @@ def _normalizing_map(a: PointSet, l: Direction) -> AffineMap:
     rich = [cls for _, cls in part.classes if len(cls) >= 2]
     fiber = min(rich, key=lambda c: c.points[0])
     p0, q = fiber.points[:2]
-    along, *rest = greedy_basis(tuple(map(sub, x, p0)) for x in (q, *a.points))
+    along, *rest = affine_basis((p0, q, *a.points))
     columns = [*rest, along]
     mat = tuple(tuple(col[i] for col in columns) for i in range(d))
     return AffineMap(mat, p0).inverse

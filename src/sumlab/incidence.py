@@ -9,8 +9,10 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import Sequence
 
-from .linalg import greedy_basis, kernel_vector
-from .pointset import Point, PointSet, _coerce_coord, _over_common_denominator, coerce_point, format_rational
+from .linalg import affine_basis, kernel_vector
+from .pointset import (
+    Point, PointSet, _coerce_coord, _json_fields, _over_common_denominator, coerce_point, format_rational,
+)
 
 
 def _primitive_int(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -43,7 +45,7 @@ class Direction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Direction":
-        return cls.of(obj["vec"])
+        return cls.of(*_json_fields(obj, "direction", "vec"))
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class Hyperplane:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Hyperplane":
-        return cls.of(obj["normal"], obj["offset"])
+        return cls.of(*_json_fields(obj, "hyperplane", "normal", "offset"))
 
 
 def project_along(p: Point, l: Direction) -> Point:
@@ -151,12 +153,6 @@ def min_line_cover(a: PointSet) -> tuple[Direction, int]:
     return Direction(vec), n - count
 
 
-def _shadow_basis(shadow: Sequence[Sequence]) -> list:
-    """Greedy basis of the difference space of the projected set."""
-    base = shadow[0]
-    return greedy_basis(tuple(map(sub, q, base)) for q in shadow[1:])
-
-
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
@@ -194,7 +190,7 @@ def _facets(pts: list[tuple[int, ...]]) -> set[tuple[tuple[int, ...], int]]:
     facets of its own face one rank lower.  Rank 1 is the base case: the
     two endpoints.
     """
-    basis = _shadow_basis(pts)
+    basis = affine_basis(pts)
     if len(basis) == 1:
         u = _primitive_int(basis[0])
         values = [_dot(u, p) for p in pts]
@@ -203,12 +199,12 @@ def _facets(pts: list[tuple[int, ...]]) -> set[tuple[tuple[int, ...], int]]:
     c = max(_dot(n, p) for p in pts)
     while True:
         face = [p for p in pts if _dot(n, p) == c]
-        face_basis = _shadow_basis(face)
+        face_basis = affine_basis(face)
         if len(face_basis) == len(basis) - 1:
             break
         # m is constant on the face and orthogonal to n, so turning about it tilts n
         coeffs = kernel_vector([[_dot(v, b) for b in basis] for v in [*face_basis, n]], len(basis))
-        m = _primitive([sum(x * b[i] for x, b in zip(coeffs, basis)) for i in range(len(n))])
+        m = _primitive_int(tuple(sum(x * b[i] for x, b in zip(coeffs, basis)) for i in range(len(n))))
         n, c = _turn(pts, n, c, m, _dot(m, face[0]))
     found = {(n, c)}
     todo = [(n, c)]

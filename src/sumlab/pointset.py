@@ -62,6 +62,13 @@ def coerce_point(coords: Sequence, dim: int | None = None) -> Point:
     return pt
 
 
+def _json_fields(obj, what: str, *keys: str) -> list:
+    """[obj[key] for each key], raising ValueError unless obj is a JSON object holding every key."""
+    if not isinstance(obj, dict) or any(key not in obj for key in keys):
+        raise ValueError(f"{what} JSON needs {' and '.join(map(repr, keys))}")
+    return [obj[key] for key in keys]
+
+
 def unit(dim: int, axis: int) -> tuple[int, ...]:
     """The standard basis vector e_axis of Z^dim (equal, as a tuple, to its Fraction form)."""
     return tuple(1 if i == axis else 0 for i in range(dim))
@@ -111,14 +118,12 @@ class PointSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointSet":
-        if not isinstance(obj, dict) or "dim" not in obj or "points" not in obj:
-            raise ValueError("point-set JSON needs 'dim' and 'points'")
-        dim = obj["dim"]
+        dim, points = _json_fields(obj, "point-set", "dim", "points")
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ValueError(f"bad dimension: {dim!r}")
-        if not isinstance(obj["points"], list):
-            raise ValueError(f"'points' must be a list of points, got {obj['points']!r}")
-        pts = [coerce_point(p, dim) for p in obj["points"]]
+        if not isinstance(points, list):
+            raise ValueError(f"'points' must be a list of points, got {points!r}")
+        pts = [coerce_point(p, dim) for p in points]
         if len(set(pts)) != len(pts):
             raise ValueError("duplicate points in input")
         return cls.of(dim, pts)
@@ -181,7 +186,7 @@ def affine_dimension(a: PointSet) -> int:
     """Dimension of the affine span: rank of {p - p0}. 0 for singletons."""
     if not a.points:
         raise ValueError("empty set has no affine dimension")
-    return affine_rank(a.points)
+    return affine_rank(_over_common_denominator(a)[1])
 
 
 def negate(a: PointSet) -> PointSet:
@@ -235,7 +240,10 @@ class AffineMap:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AffineMap":
-        return cls.of(obj["matrix"], obj["translation"])
+        matrix, translation = _json_fields(obj, "affine map", "matrix", "translation")
+        if not isinstance(matrix, list):
+            raise ValueError(f"'matrix' must be a list of rows, got {matrix!r}")
+        return cls.of(matrix, translation)
 
 
 def apply_affine(a: PointSet, t: AffineMap) -> PointSet:

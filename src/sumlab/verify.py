@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._version import __version__
-from .bounds import CONSISTENT, COUNTEREXAMPLE, check_claim
+from .bounds import CONSISTENT, COUNTEREXAMPLE, bound_value, check_claim
 from .compression import CompressionSpec, compress_pair, reduce as reduce_lines
 from .constructions import dlines_general_position, freiman_aps, stan_doubling_tight, stanchescu_dk
 from .incidence import Direction, Hyperplane, line_partition, min_line_cover, project_along
@@ -69,7 +68,7 @@ def suite_constructions(cfg: VerifySuite) -> list[dict]:
         for k in range(1, 7):
             a = stanchescu_dk(d, k)
             got = difference_count(a, a)
-            want = (2 * d - 2 + Fraction(1, d - 1)) * len(a) - (2 * d * d - 4 * d + 3)
+            want = bound_value("MAIN", d=d, n=len(a))
             if got != want:
                 failures.append({"d": d, "k": k, "got": got, "want": str(want)})
     checks.append(_check("stanchescu_difference_identity", failures))
@@ -80,7 +79,7 @@ def suite_constructions(cfg: VerifySuite) -> list[dict]:
         for n in range(2, 7):
             a = stan_doubling_tight(d, n)
             got = sumset_count(a, a)
-            want = (d + Fraction(4, 3)) * len(a) - Fraction(3 * d * d + 5 * d + 8, 6)
+            want = bound_value("STAN_DOUBLING", d=d, n=len(a))
             if got != want:
                 failures.append({"d": d, "n": n, "got": got, "want": str(want)})
             _, cover = min_line_cover(a)
@@ -101,7 +100,7 @@ def suite_constructions(cfg: VerifySuite) -> list[dict]:
         for length in range(1, 7):
             a = freiman_aps(d, [length] * d)
             got = sumset_count(a, a)
-            want = (d + 1) * len(a) - Fraction(d * (d + 1), 2)
+            want = bound_value("FREIMAN_SUM", d=d, n=len(a))
             if got != want:
                 failures.append({"d": d, "length": length, "got": got, "want": str(want)})
     checks.append(_check("freiman_equality", failures))

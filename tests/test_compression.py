@@ -212,6 +212,58 @@ def test_trace_from_json_rejects_malformed_map_points(bad):
         CompressionTrace.from_json(blob)
 
 
+def _corner_trace_json():
+    # one column compression of the corner {(0,0), (1,0), (0,1)}, as written by hand
+    step = {
+        "hyperplane": {"normal": ["0", "1"], "offset": "0"},
+        "direction": {"vec": ["0", "1"]},
+        "map": [[["0", "0"], ["0", "0"]], [["0", "1"], ["0", "1"]], [["1", "0"], ["1", "0"]]],
+    }
+    affine = {"matrix": [["1", "0"], ["0", "1"]], "translation": ["0", "0"]}
+    return {"initial_affine": affine, "steps": [step]}
+
+
+TRACE_DEFECTS = {
+    "two-points-one-image": lambda t: t["steps"][0]["map"].append([["1", "1"], ["0", "0"]]),
+    "repeated-preimage": lambda t: t["steps"][0]["map"].append([["0", "0"], ["1", "1"]]),
+    "missing-steps": lambda t: t.pop("steps"),
+    "steps-not-a-list": lambda t: t.update(steps=5),
+    "missing-hyperplane": lambda t: t["steps"][0].pop("hyperplane"),
+    "missing-direction": lambda t: t["steps"][0].pop("direction"),
+    "missing-map": lambda t: t["steps"][0].pop("map"),
+    "map-not-a-list": lambda t: t["steps"][0].update(map=5),
+    "missing-translation": lambda t: t["initial_affine"].pop("translation"),
+    "missing-matrix": lambda t: t["initial_affine"].pop("matrix"),
+    "missing-normal": lambda t: t["steps"][0]["hyperplane"].pop("normal"),
+    "missing-vec": lambda t: t["steps"][0]["direction"].pop("vec"),
+}
+
+
+def test_trace_fixture_replays():
+    corner = pset(2, [(0, 0), (1, 0), (0, 1)])
+    assert CompressionTrace.from_json(_corner_trace_json()).replay(corner) == corner
+
+
+@pytest.mark.parametrize("defect", sorted(TRACE_DEFECTS))
+def test_trace_from_json_rejects_defect(defect):
+    # a trace is outside input: every defect is a ValueError (exit 3 at the CLI), never a
+    # KeyError or TypeError, and no map may merge points, or replay would shrink the set
+    blob = _corner_trace_json()
+    TRACE_DEFECTS[defect](blob)
+    with pytest.raises(ValueError):
+        CompressionTrace.from_json(blob)
+
+
+def test_reduce_traces_round_trip():
+    rng = random.Random(26)
+    for i in range(30):
+        a, b, l = random_reduce_instance(rng, 2 + i % 2)
+        a2, _, trace = reduce(a, b, l)
+        rebuilt = CompressionTrace.from_json(trace.to_json())
+        assert rebuilt == trace
+        assert rebuilt.replay(a) == a2
+
+
 def test_reduce_monotone_sumset():
     rng = random.Random(26)
     for i in range(60):

@@ -10,7 +10,10 @@ difference of two set points. The counts `sumset_count` and
 `difference_count` range over the same operands as the sets, and over each
 operand with itself. The search's packed `diff_count` ranges over integer
 sets in d = 1..4 with n = 1..12, negative coordinates, zero-span axes and
-collinear sets.
+collinear sets. The `linalg` elimination is pinned through `affine_dimension`
+on flats of every rank in d = 1..5, and through `kernel_vector` and
+`invert_matrix` on matrices of up to 5 x 5 of every rank, with integer,
+rational and mixed int/Fraction entries.
 """
 
 from fractions import Fraction
@@ -22,6 +25,7 @@ from sumlab import (
     Direction,
     Hyperplane,
     PointSet,
+    affine_dimension,
     difference_set,
     hyperplane_slices,
     line_partition,
@@ -31,9 +35,11 @@ from sumlab import (
     sumset,
     supporting_hyperplanes,
 )
+from sumlab.linalg import invert_matrix, kernel_vector
 from sumlab.pointset import difference_count, sumset_count
 from sumlab.search import diff_count
 from conftest import (
+    _fraction_rref,
     oracle_diff_count,
     oracle_hyperplane_slices,
     oracle_line_partition,
@@ -233,3 +239,79 @@ def test_hyperplane_slices_match_oracle(case):
         assert all(type(s.offset) is Fraction for s, _ in slices)
         expected = oracle_hyperplane_slices(pts, h.normal, h.offset)
         assert [(s.offset, cls.points) for s, cls in slices] == expected
+
+
+def _rank(rows) -> int:
+    return len(_fraction_rref([[Fraction(x) for x in row] for row in rows])[1])
+
+
+def _plain(x):
+    """An integral Fraction as an int, so rational and mixed rows mix both types."""
+    return x.numerator if x.denominator == 1 else x
+
+
+@st.composite
+def flats(draw):
+    """Points in d = 1..5 on a flat of drawn rank 0..d: base + sum of t_i * v_i over integer steps t."""
+    d = draw(st.integers(1, 5))
+    dens, _ = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
+    point = st.tuples(*[_coords(dens)] * d)
+    rank = draw(st.integers(0, d))
+    base = draw(point)
+    spans = draw(st.lists(point, min_size=rank, max_size=rank))
+    steps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=1, max_size=9, unique=True))
+    return d, {tuple(b + sum(t * v[i] for t, v in zip(ts, spans)) for i, b in enumerate(base)) for ts in steps}
+
+
+@PROPERTY
+@given(flats())
+def test_affine_dimension_matches_oracle(case):
+    d, pts = case
+    pts = sorted(pts)
+    assert affine_dimension(PointSet.of(d, pts)) == _rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])
+
+
+@st.composite
+def matrices(draw, square=False):
+    """(ncols, rows): 1..5 rows of 1..5 columns, of every rank, with integer, rational or mixed
+    entries; a row past the drawn rank is an integer combination of the rows before it."""
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    dens, _ = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    rows = draw(st.lists(st.tuples(*[_coords(dens)] * ncols), min_size=rank, max_size=rank))
+    for _ in range(nrows - rank):
+        ts = draw(st.tuples(*[st.integers(-2, 2)] * rank))
+        rows.append(tuple(sum((t * row[j] for t, row in zip(ts, rows)), Fraction(0)) for j in range(ncols)))
+    rows = draw(st.permutations(rows))
+    return ncols, [tuple(map(_plain, row)) for row in rows]
+
+
+@PROPERTY
+@given(matrices())
+def test_kernel_vector_matches_oracle(case):
+    ncols, rows = case
+    pivots = _fraction_rref([[Fraction(x) for x in row] for row in rows])[1]
+    v = kernel_vector(rows, ncols)
+    if len(pivots) == ncols:
+        assert v is None
+        return
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+    # nonzero in the first free column, zero in the other free columns
+    free = [c for c in range(ncols) if c not in pivots]
+    assert v[free[0]] != 0 and not any(v[c] for c in free[1:])
+    if all(type(x) is int for row in rows for x in row):
+        assert all(type(x) is int for x in v)
+
+
+@PROPERTY
+@given(matrices(square=True))
+def test_invert_matrix_matches_oracle(case):
+    n, rows = case
+    inv = invert_matrix(rows)
+    if _rank(rows) < n:
+        assert inv is None
+        return
+    assert all(type(x) is Fraction for row in inv for x in row)
+    product = [[sum(a * inv[k][j] for k, a in enumerate(row)) for j in range(n)] for row in rows]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]

@@ -204,8 +204,7 @@ def test_specialized_vs_general_hull_paths():
 
 def test_supporting_hyperplanes_4d_against_oracle():
     # rank-3 shadows: the facets vs a direct ambient-kernel oracle
-    from sumlab.incidence import _shadow_basis
-    from sumlab.linalg import affine_rank as arank, kernel_vector
+    from sumlab.linalg import affine_basis, affine_rank as arank, kernel_vector
 
     rng = random.Random(91)
     e4 = Direction.of((0, 0, 0, 1))
@@ -216,7 +215,7 @@ def test_supporting_hyperplanes_4d_against_oracle():
             pts.add(tuple(rng.randint(0, 3) for _ in range(4)))
         a = pset(4, pts)
         shadow = sorted({project_along(p, e4) for p in a.points})
-        if len(_shadow_basis(shadow)) != 3:
+        if len(affine_basis(shadow)) != 3:
             continue
         got = set(supporting_hyperplanes(a, e4))
         brute = set()
