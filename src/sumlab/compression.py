@@ -100,6 +100,15 @@ class CompressionTrace:
     steps: tuple[TraceStep, ...]
     initial_affine: AffineMap | None = None
 
+    def __post_init__(self):
+        want = None if self.initial_affine is None else len(self.initial_affine.matrix)
+        for i, step in enumerate(self.steps):
+            dim = len(step.spec.direction.vec)
+            if want is None:
+                want = dim
+            elif dim != want:
+                raise ValueError(f"trace step {i} has dimension {dim}, but the trace has dimension {want}")
+
     def apply_specs(self, x: PointSet) -> PointSet:
         if self.initial_affine is not None and x.points:
             x = apply_affine(x, self.initial_affine)

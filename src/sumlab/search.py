@@ -14,16 +14,19 @@ the minimum and the witness set are those of the full walk:
   difference count already exceeds the best value cannot complete to a
   minimiser;
 - the look-ahead: lexicographic order is compatible with translation, so a
-  later point p makes p - chosen[0] larger than every difference so far,
-  and each of the r points still to place adds at least the two new
-  differences ±(p - chosen[0]).  A partial subset with
+  later point p makes p - head[0] larger than every difference of the
+  chosen prefix head, and each of the r points still to place adds at least
+  the two new differences ±(p - head[0]).  A partial subset with
   |S - S| + 2r > best is cut; ties survive, so tied witnesses are kept.
 
-The global floor |A - A| >= 2|A| - 1 is implied by the look-ahead.  The last
-point p is counted without updating the difference set: each chosen q with
-p - q not yet a difference adds p - q and q - p, and all of these differ.
-Enabling or disabling pruning never changes the minimum or the witness set,
-only the number of candidates examined.
+The global floor |A - A| >= 2|A| - 1 is implied by the look-ahead.  The walk
+carries its state as three ints over the packed codes, with top the largest
+code: `diffs` has bit top + δ for each difference δ of the prefix, `up` has
+bit top + q and `down` bit top - q for each chosen code q.  Adding code c
+gives the difference set diffs | down << c | up >> c, whose bit count is
+|S - S|; interior nodes and the last level count alike, and nothing is
+undone on the way back.  Enabling or disabling pruning never changes the
+minimum or the witness set, only the number of candidates examined.
 """
 
 from __future__ import annotations
@@ -227,27 +230,10 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
         raise ValueError(f"the exhaustive walk runs in one process, so threads must be 1; got {threads}")
     if spec.claim is not None and (spec.claim in _NEEDS_B or spec.claim in _NEEDS_L):
         raise ValueError(f"claim {spec.claim} needs operands exhaustive mode does not generate")
-    best, witnesses, examined, violations = _walk(spec, prune)
-    if best > spec.volume() ** 2:
-        raise ValueError("no candidate subset satisfied the dimension requirement")
-    return _search_result(spec, best, witnesses, examined, violations)
-
-
-def _search_result(spec: SearchSpec, best: int, witnesses: set, examined: int, violations: list) -> SearchResult:
-    """The result with the first WITNESS_CAP witnesses, each re-checked to attain best."""
-    witness_sets = tuple(PointSet.of(spec.d, w) for w in sorted(witnesses)[:WITNESS_CAP])
-    for w in witness_sets:
-        if difference_count(w, w) != best:
-            raise RuntimeError(f"witness {w.to_json()} does not have |W - W| = {best}")
-        if spec.require_full_dim and affine_rank(w.points) != spec.d:
-            raise RuntimeError(f"witness {w.to_json()} does not span dimension {spec.d}")
-    return SearchResult(spec, best, witness_sets, examined, tuple(violations))
-
-
-def _walk(spec: SearchSpec, prune: bool) -> tuple[int, set[tuple[IntPoint, ...]], int, list[ClaimReport]]:
     points = lattice_points(spec.box)
     codes = _pack(points, spec.box)
     total = len(points)
+    top = codes[-1]
     uniform = len(set(spec.box)) == 1
     use_prune = prune and spec.claim is None
     # lattice_points is lexicographic, so its first total // (box[0] + 1) points have x_0 = 0
@@ -257,8 +243,6 @@ def _walk(spec: SearchSpec, prune: bool) -> tuple[int, set[tuple[IntPoint, ...]]
     witnesses: set[tuple[IntPoint, ...]] = set()
     examined = 0
     violations: list[ClaimReport] = []
-    chosen: list[int] = []
-    diffs = {0}
 
     def leaf(ordered: tuple[IntPoint, ...], value: int) -> None:
         nonlocal best, examined
@@ -277,35 +261,37 @@ def _walk(spec: SearchSpec, prune: bool) -> tuple[int, set[tuple[IntPoint, ...]]
         if value == best:
             witnesses.add(ordered)
 
-    def walk(start: int) -> None:
-        remaining = spec.n - len(chosen)
-        stop = total - remaining + 1 if chosen else min(total - remaining + 1, first_stop)
-        taken = [codes[i] for i in chosen]
-        if remaining == 1:
-            # the last point p adds ±(p - q) for each chosen q with p - q not yet a difference
-            size = len(diffs) + 2 * len(taken)
-            head = tuple(points[i] for i in chosen)
-            for idx in range(start, stop):
-                value = size - 2 * len(diffs.intersection(map(codes[idx].__sub__, taken)))
-                if not (use_prune and value > best):
-                    leaf(head + (points[idx],), value)
-            return
+    def walk(start: int, head: tuple[IntPoint, ...], diffs: int, up: int, down: int) -> None:
+        remaining = spec.n - len(head)
+        stop = total - remaining + 1 if head else min(total - remaining + 1, first_stop)
+        # each later point p adds at least ±(p - head[0]), larger than every difference so far
+        later = 2 * (remaining - 1)
         for idx in range(start, stop):
-            p = codes[idx]
-            added = set(map(p.__sub__, taken))
-            added -= diffs
-            # diffs is symmetric, so -delta is new exactly when delta is
-            added |= {-delta for delta in added}
-            diffs.update(added)
-            chosen.append(idx)
-            # each later point p' adds at least ±(p' - chosen[0]), larger than every difference so far
-            if not (use_prune and len(diffs) + 2 * (remaining - 1) > best):
-                walk(idx + 1)
-            chosen.pop()
-            diffs.difference_update(added)
+            c = codes[idx]
+            grown = diffs | down << c | up >> c
+            size = grown.bit_count()
+            if use_prune and size + later > best:
+                continue
+            if later:
+                walk(idx + 1, head + (points[idx],), grown, up | 1 << top + c, down | 1 << top - c)
+            else:
+                leaf(head + (points[idx],), size)
 
-    walk(0)
-    return best, witnesses, examined, violations
+    walk(0, (), 1 << top, 0, 0)
+    if not witnesses:
+        raise ValueError("no candidate subset satisfied the dimension requirement")
+    return _search_result(spec, best, witnesses, examined, violations)
+
+
+def _search_result(spec: SearchSpec, best: int, witnesses: set, examined: int, violations: list) -> SearchResult:
+    """The result with the first WITNESS_CAP witnesses, each re-checked to attain best."""
+    witness_sets = tuple(PointSet.of(spec.d, w) for w in sorted(witnesses)[:WITNESS_CAP])
+    for w in witness_sets:
+        if difference_count(w, w) != best:
+            raise RuntimeError(f"witness {w.to_json()} does not have |W - W| = {best}")
+        if spec.require_full_dim and affine_rank(w.points) != spec.d:
+            raise RuntimeError(f"witness {w.to_json()} does not span dimension {spec.d}")
+    return SearchResult(spec, best, witness_sets, examined, tuple(violations))
 
 
 def random_probe(spec: SearchSpec) -> SearchResult:
@@ -333,12 +319,11 @@ def random_probe(spec: SearchSpec) -> SearchResult:
                 pts = _sample_points(rng, spec.box, spec.n)
         examined += 1
         value = diff_count(pts)
-        canon = canonical_form(pts, uniform)
         if best is None or value < best:
             best = value
-            witnesses = {canon}
-        elif value == best:
-            witnesses.add(canon)
+            witnesses.clear()
+        if value == best:
+            witnesses.add(canonical_form(pts, uniform))
         if spec.claim is not None:
             report = _check_candidate_claim(spec, sorted(pts), rng)
             if report.verdict == COUNTEREXAMPLE:

@@ -254,6 +254,24 @@ def test_trace_from_json_rejects_defect(defect):
         CompressionTrace.from_json(blob)
 
 
+def _step_json(d):
+    # the identity compression along the last axis of Q^d, on the origin alone
+    zero, last = ["0"] * d, ["0"] * (d - 1) + ["1"]
+    return {"hyperplane": {"normal": last, "offset": "0"}, "direction": {"vec": last}, "map": [[zero, zero]]}
+
+
+@pytest.mark.parametrize(
+    "affine, bad_step",
+    [({"matrix": [["1"]], "translation": ["0"]}, 0), (None, 1)],
+    ids=["affine-1-steps-2-3", "steps-2-3"],
+)
+def test_trace_from_json_rejects_mixed_dimensions(affine, bad_step):
+    # replay would fail later with a message that names neither the step nor the mismatch
+    blob = {"initial_affine": affine, "steps": [_step_json(2), _step_json(3)]}
+    with pytest.raises(ValueError, match=f"trace step {bad_step} has dimension"):
+        CompressionTrace.from_json(blob)
+
+
 def test_reduce_traces_round_trip():
     rng = random.Random(26)
     for i in range(30):

@@ -103,8 +103,11 @@ def _affine_rank(points):
         (2, 4, (2, 4), True),
         (2, 3, (0, 6), False),
         (3, 4, (1, 1, 2), True),
+        (3, 4, (0, 2, 3), False),
+        (2, 4, (1, 5), True),
+        (1, 1, (3,), False),
     ],
-    ids=["d1", "d2-full", "d2", "d2-nonuniform", "d2-degenerate", "d3"],
+    ids=["d1", "d2-full", "d2", "d2-nonuniform", "d2-degenerate", "d3", "d3-flat-axis", "d2-long-axis", "n1"],
 )
 def test_exhaustive_matches_brute_force(d, n, box, full):
     # independent oracle: every n-subset of the box, Fraction difference counts
