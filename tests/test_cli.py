@@ -333,6 +333,11 @@ GOLDEN_RUNS = {
         "compress", "--input", "inputs/a2.json", "--b", "inputs/b2.json",
         "--normal", "1,2", "--offset", "1/2", "--direction", "1,-1",
     ],
+    # n.v = 3: the anchors gain a denominator that neither the points nor the offset carry
+    "compress_a2_b2_nv3": [
+        "compress", "--input", "inputs/a2.json", "--b", "inputs/b2.json",
+        "--normal", "1,2", "--offset", "1/3", "--direction", "1,1",
+    ],
     "lines_a3_cover": ["lines", "--input", "inputs/a3.json"],
     "lines_a2_partition": ["lines", "--input", "inputs/a2.json", "--direction", "1,0"],
     "diagnose_a3": ["diagnose", "--input", "inputs/a3.json"],
