@@ -11,10 +11,14 @@ point" while recording every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .incidence import Direction, Hyperplane, line_partition
+from .incidence import Direction, Hyperplane, _dot, _shadow_keys, line_partition
 from .linalg import affine_basis
-from .pointset import AffineMap, Point, PointSet, _json_fields, affine_dimension, apply_affine, coerce_point, unit
+from .pointset import (
+    AffineMap, Point, PointSet, _coerce_coord, _from_integers, _json_fields, _over_common_denominator, _point,
+    affine_dimension, apply_affine, parse_rational, unit,
+)
 
 
 @dataclass(frozen=True)
@@ -45,25 +49,38 @@ def compress(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, dict[Point, 
     u is the fiber's intersection with the hyperplane; points keep their order
     along the direction, so the result is a pointwise bijection and
     cardinality is preserved.  Returns (image, point map).
+
+    The work is in integers: with the points p' / s over their common
+    denominator, the offset c = c' / q and k = |n.v|, the anchor of the fiber
+    starting at p is u = p + (c - n.p) / (n.v) v, and over the scale s q k it
+    is the integer point q k p' + sign(n.v) (s c' - q n.p') v.
     """
     if not a.points:
         raise ValueError("cannot compress an empty set")
     if len(spec.direction.vec) != a.dim:
         raise ValueError("compression dimension mismatch")
     v = spec.direction.vec
-    h = spec.hyperplane
-    nv = sum(n * x for n, x in zip(h.normal, v))
-    mapping: dict[Point, Point] = {}
-    for _, fiber in line_partition(a, spec.direction).classes:
-        p0 = fiber.points[0]
-        t_star = (h.offset - h.value(p0)) / nv
-        u = tuple(c + t_star * x for c, x in zip(p0, v))
-        for j, p in enumerate(fiber.points):
-            mapping[p] = tuple(c + j * x for c, x in zip(u, v))
-    image = PointSet.of(a.dim, mapping.values())
+    normal, offset = spec.hyperplane.normal, spec.hyperplane.offset
+    nv = _dot(normal, v)
+    s, pts = _over_common_denominator(a)
+    q, k = offset.denominator, abs(nv)
+    step = [s * q * k * x for x in v]
+    fibers: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(_shadow_keys(pts, v)):
+        fibers.setdefault(key, []).append(i)
+    moved: list = [None] * len(pts)
+    for fiber in fibers.values():
+        p0 = pts[fiber[0]]
+        t = (s * offset.numerator - q * _dot(normal, p0)) * (1 if nv > 0 else -1)
+        u = [q * k * c + t * x for c, x in zip(p0, v)]
+        for j, i in enumerate(fiber):
+            moved[i] = tuple([c + j * x for c, x in zip(u, step)])
+    image = _from_integers(a.dim, s * q * k, moved)
     if len(image) != len(a):
         raise RuntimeError(f"compression postcondition failed: {len(a)} points went to {len(image)}")
-    return image, mapping
+    # the images are distinct, so sorting them lines them up with the image's points
+    as_fractions = dict(zip(sorted(moved), image.points))
+    return image, {p: as_fractions[m] for p, m in zip(a.points, moved)}
 
 
 def compress_pair(a: PointSet, b: PointSet, spec: CompressionSpec) -> tuple[PointSet, PointSet]:
@@ -73,12 +90,17 @@ def compress_pair(a: PointSet, b: PointSet, spec: CompressionSpec) -> tuple[Poin
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One compression and its point map, on Fraction points of the step's dimension."""
+
     spec: CompressionSpec
     mapping: tuple[tuple[Point, Point], ...]
 
     def __post_init__(self):
         if not len(self.mapping) == len({p for p, _ in self.mapping}) == len({q for _, q in self.mapping}):
             raise ValueError("a trace step must map distinct points to distinct images, or replay shrinks the set")
+        dim = len(self.spec.direction.vec)
+        if any(len(p) != dim or len(q) != dim for p, q in self.mapping):
+            raise ValueError(f"a trace step of dimension {dim} maps a point of another length")
 
     def to_json(self) -> dict:
         out = self.spec.to_json()
@@ -124,9 +146,11 @@ class CompressionTrace:
         for step in self.steps:
             lookup = dict(step.mapping)
             try:
-                x = PointSet.of(x.dim, (lookup[p] for p in x.points))
+                images = [lookup[p] for p in x.points]
             except KeyError as exc:
                 raise ValueError("replay input does not match the recorded domain") from exc
+            # a step maps distinct points to distinct images, so the sorted images are strictly increasing
+            x = PointSet._from_sorted(x.dim, tuple(sorted(images)))
         return x
 
     def to_json(self) -> dict:
@@ -141,6 +165,17 @@ class CompressionTrace:
         if not isinstance(raw_steps, list):
             raise ValueError(f"'steps' must be a list of steps, got {raw_steps!r}")
         affine = obj.get("initial_affine")
+        parsed: dict[str, Fraction] = {}
+
+        def coord(c) -> Fraction:
+            # a trace repeats few distinct numbers many times: parse each text once
+            if isinstance(c, str):
+                value = parsed.get(c)
+                if value is None:
+                    value = parsed[c] = parse_rational(c)
+                return value
+            return _coerce_coord(c)
+
         steps = []
         for raw in raw_steps:
             spec = CompressionSpec.from_json(raw)
@@ -148,7 +183,7 @@ class CompressionTrace:
             (pairs,) = _json_fields(raw, "compression step", "map")
             if not isinstance(pairs, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
                 raise ValueError(f"'map' must be a list of [point, image] pairs, got {pairs!r}")
-            mapping = tuple((coerce_point(pre, dim), coerce_point(post, dim)) for pre, post in pairs)
+            mapping = tuple((_point(pre, dim, coord), _point(post, dim, coord)) for pre, post in pairs)
             steps.append(TraceStep(spec, mapping))
         return cls(tuple(steps), None if affine is None else AffineMap.from_json(affine))
 

@@ -110,8 +110,14 @@ def _shadow(a: PointSet, lv: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]
     if len(lv) != a.dim:
         raise ValueError("direction dimension mismatch")
     scale, pts = _over_common_denominator(a)
+    return scale * _dot(lv, lv), _shadow_keys(pts, lv)
+
+
+def _shadow_keys(pts: list[tuple[int, ...]], lv: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The key p |lv|^2 - (p . lv) lv of each integer point p: two keys are equal exactly when
+    their points lie on one line parallel to lv."""
     norm = _dot(lv, lv)
-    return scale * norm, [tuple(x * norm - t * y for x, y in zip(p, lv)) for p in pts for t in (_dot(p, lv),)]
+    return [tuple(x * norm - t * y for x, y in zip(p, lv)) for p in pts for t in (_dot(p, lv),)]
 
 
 def line_partition(a: PointSet, l: Direction) -> LinePartition:
@@ -122,7 +128,8 @@ def line_partition(a: PointSet, l: Direction) -> LinePartition:
     for key, p in zip(keys, a.points):
         groups.setdefault(key, []).append(p)
     classes = tuple(
-        (tuple(Fraction(x, s) for x in key), PointSet(a.dim, tuple(pts))) for key, pts in sorted(groups.items())
+        (tuple(Fraction(x, s) for x in key), PointSet._from_sorted(a.dim, tuple(pts)))
+        for key, pts in sorted(groups.items())
     )
     return LinePartition(l, classes)
 
@@ -272,4 +279,4 @@ def hyperplane_slices(a: PointSet, h: Hyperplane) -> list[tuple[Hyperplane, Poin
     values = sorted(groups)
     if h.offset * scale >= values[-1] and values[0] < values[-1]:
         values = values[::-1]
-    return [(Hyperplane(h.normal, Fraction(v, scale)), PointSet(a.dim, tuple(groups[v]))) for v in values]
+    return [(Hyperplane(h.normal, Fraction(v, scale)), PointSet._from_sorted(a.dim, tuple(groups[v]))) for v in values]

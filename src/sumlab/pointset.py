@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add, ge, sub
+from operator import add, ge, mul, sub
 from typing import Iterable, Sequence
 
 from .linalg import affine_rank, invert_matrix, mat_vec
@@ -52,9 +52,14 @@ def _coerce_coord(c) -> Fraction:
 
 def coerce_point(coords: Sequence, dim: int | None = None) -> Point:
     """Normalize a list or tuple of coordinates to a tuple of Fractions."""
+    return _point(coords, dim, _coerce_coord)
+
+
+def _point(coords: Sequence, dim: int | None, coord) -> Point:
+    """`coerce_point`, reading each coordinate with coord."""
     if not isinstance(coords, (list, tuple)):
         raise ValueError(f"a point must be a list or tuple of coordinates, got {coords!r}")
-    pt = tuple(_coerce_coord(c) for c in coords)
+    pt = tuple(map(coord, coords))
     if not pt:
         raise ValueError("points must have at least one coordinate")
     if dim is not None and len(pt) != dim:
@@ -94,8 +99,16 @@ class PointSet:
     def of(cls, dim: int, points: Iterable[Sequence]) -> "PointSet":
         if dim < 1:
             raise ValueError("ambient dimension must be positive")
-        pts = sorted({coerce_point(p, dim) for p in points})
-        return cls(dim, tuple(pts))
+        return cls._from_sorted(dim, tuple(sorted({coerce_point(p, dim) for p in points})))
+
+    @classmethod
+    def _from_sorted(cls, dim: int, points: tuple[Point, ...]) -> "PointSet":
+        """The set of points that are already Fraction tuples of length dim in strictly increasing
+        order, skipping the scan `__post_init__` makes of them."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "points", points)
+        return out
 
     @cached_property
     def _members(self) -> frozenset[Point]:
@@ -149,10 +162,19 @@ def _over_common_denominator(*sets: PointSet) -> tuple:
     ))
 
 
-def _from_integers(dim: int, scale: int, points: set[tuple[int, ...]]) -> PointSet:
-    """The set of points / scale, building one Fraction per distinct coordinate value."""
-    fracs = {x: Fraction(x, scale) for x in {x for p in points for x in p}}
-    return PointSet(dim, tuple(tuple(map(fracs.__getitem__, p)) for p in sorted(points)))
+def _from_integers(dim: int, scale: int, points: Iterable[tuple[int, ...]]) -> PointSet:
+    """The set of the distinct points / scale, building one Fraction per distinct coordinate value.
+
+    The scale is positive, so the sorted distinct integer tuples give the Fraction points in
+    strictly increasing order; only their lengths need checking.
+    """
+    pts = sorted(set(points))
+    bad = next((p for p in pts if len(p) != dim), None)
+    if bad is not None:
+        bad_point = tuple(Fraction(x, scale) for x in bad)
+        raise ValueError(f"point {bad_point} has length {len(bad)} in ambient dimension {dim}")
+    fracs = {x: Fraction(x, scale) for x in {x for p in pts for x in p}}
+    return PointSet._from_sorted(dim, tuple(tuple(map(fracs.__getitem__, p)) for p in pts))
 
 
 def _pairwise(a: PointSet, b: PointSet, op) -> tuple[int, set[tuple[int, ...]]]:
@@ -190,12 +212,12 @@ def affine_dimension(a: PointSet) -> int:
 
 
 def negate(a: PointSet) -> PointSet:
-    return PointSet(a.dim, tuple(sorted(tuple(-c for c in p) for p in a.points)))
+    return PointSet._from_sorted(a.dim, tuple(sorted(tuple(-c for c in p) for p in a.points)))
 
 
 def translate(a: PointSet, t: Sequence) -> PointSet:
     vec = coerce_point(t, a.dim)
-    return PointSet(a.dim, tuple(sorted(tuple(x + y for x, y in zip(p, vec)) for p in a.points)))
+    return PointSet._from_sorted(a.dim, tuple(sorted(tuple(x + y for x, y in zip(p, vec)) for p in a.points)))
 
 
 @dataclass(frozen=True)
@@ -228,6 +250,16 @@ class AffineMap:
         return tuple(x + t for x, t in zip(mat_vec(self.matrix, p), self.translation))
 
     @cached_property
+    def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """(m, m * matrix, m * translation) in integers, m the lcm of every denominator of the map."""
+        m = lcm(*(c.denominator for row in (*self.matrix, self.translation) for c in row))
+        return (
+            m,
+            tuple(tuple(c.numerator * (m // c.denominator) for c in row) for row in self.matrix),
+            tuple(c.numerator * (m // c.denominator) for c in self.translation),
+        )
+
+    @cached_property
     def inverse(self) -> "AffineMap":
         inv = self._inverse_matrix
         return AffineMap(inv, tuple(-c for c in mat_vec(inv, self.translation)))
@@ -250,7 +282,13 @@ def apply_affine(a: PointSet, t: AffineMap) -> PointSet:
     """Image of the set; cardinality is preserved because the map is invertible."""
     if len(t.translation) != a.dim:
         raise ValueError("affine map dimension mismatch")
-    image = PointSet.of(a.dim, (t.apply(p) for p in a.points))
+    # over the scale s * m, with p = p' / s and the map (M' x + t') / m, the image of p is M' p' + s t'
+    s, pts = _over_common_denominator(a)
+    m, mat, shift = t._integer_form
+    shift = [s * c for c in shift]
+    image = _from_integers(
+        a.dim, s * m, (tuple([sum(map(mul, row, p)) + c for row, c in zip(mat, shift)]) for p in pts)
+    )
     if len(image) != len(a):
         raise RuntimeError(f"affine image postcondition failed: {len(a)} points went to {len(image)}")
     return image

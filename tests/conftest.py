@@ -179,3 +179,46 @@ def oracle_major_hyperplane(points, vec):
         return None
     pts = {tuple(Fraction(c) for c in p) for p in points}
     return min(found, key=lambda h: (-sum(_fraction_dot(h[0], p) == h[1] for p in pts), h))
+
+
+def _canonical_direction(vec) -> tuple[int, ...]:
+    """The primitive integer vector with positive first nonzero entry on the line of vec."""
+    vec = [Fraction(x) for x in vec]
+    scale = lcm(*(f.denominator for f in vec))
+    ints = [int(f * scale) for f in vec]
+    g = gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+    return tuple(x // g for x in ints)
+
+
+def oracle_compress(points, normal, offset, vec) -> tuple:
+    """(sorted image, point map) of the compression onto {x : normal . x = offset} along vec.
+
+    From the definition, in Fractions: v is the primitive integer vector on
+    vec's line with positive first nonzero entry; each line parallel to v is
+    ordered by position along v, and its j-th point (from 0) goes to
+    u + j v, where u is the line's meeting point with the hyperplane.
+    """
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    v = _canonical_direction(vec)
+    norm = _fraction_dot(v, v)
+    lines = {}
+    for p in pts:
+        t = _fraction_dot(p, v) / norm
+        lines.setdefault(tuple(c - t * x for c, x in zip(p, v)), []).append(p)
+    mapping = {}
+    for line in lines.values():
+        line.sort(key=lambda p: _fraction_dot(p, v))
+        p0 = line[0]
+        t_star = (Fraction(offset) - _fraction_dot(normal, p0)) / _fraction_dot(normal, v)
+        u = tuple(c + t_star * x for c, x in zip(p0, v))
+        for j, p in enumerate(line):
+            mapping[p] = tuple(c + j * x for c, x in zip(u, v))
+    return tuple(sorted(set(mapping.values()))), mapping
+
+
+def oracle_apply_affine(points, matrix, translation) -> tuple:
+    """Sorted distinct images M p + t, computed in Fractions."""
+    images = {
+        tuple(_fraction_dot(row, p) + Fraction(t) for row, t in zip(matrix, translation)) for p in points
+    }
+    return tuple(sorted(images))

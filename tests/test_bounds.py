@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -89,6 +90,15 @@ def test_main_on_stanchescu_margin_zero():
     assert report.verdict == CONSISTENT
     assert report.lhs == report.rhs == 27
     assert report.margin == 0
+
+
+def test_main_fails_on_the_4_cube():
+    # MAIN holds only for sufficiently large A: {0,1}^4 has |A-A| = 3^4 = 81 below the bound 247/3
+    cube = pset(4, itertools.product((0, 1), repeat=4))
+    report = check_claim("MAIN", cube, as_conjecture=True)
+    assert report.verdict == COUNTEREXAMPLE
+    assert (report.lhs, report.rhs, report.margin) == (81, Fraction(247, 3), Fraction(-4, 3))
+    assert check_claim("MAIN", cube).verdict == BELOW_GUARANTEED_SIZE
 
 
 def test_main_vacuous_when_dimension_deficient():

@@ -17,6 +17,7 @@ from sumlab import (
     reduce,
     sumset,
 )
+from sumlab.compression import TraceStep
 from sumlab.incidence import project_along
 from sumlab.verify import random_compression_instance, random_reduce_instance, reduce_properties_hold
 from conftest import oracle_pair_sum_count, pset
@@ -252,6 +253,13 @@ def test_trace_from_json_rejects_defect(defect):
     TRACE_DEFECTS[defect](blob)
     with pytest.raises(ValueError):
         CompressionTrace.from_json(blob)
+
+
+def test_trace_step_rejects_points_of_another_dimension():
+    # replay trusts a step's images to be points of its dimension
+    spec = CompressionSpec(H_Y0, E2)
+    with pytest.raises(ValueError, match="a trace step of dimension 2 maps a point of another length"):
+        TraceStep(spec, (((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0), Fraction(0))),))
 
 
 def _step_json(d):

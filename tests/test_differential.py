@@ -13,19 +13,28 @@ sets in d = 1..4 with n = 1..12, negative coordinates, zero-span axes and
 collinear sets. The `linalg` elimination is pinned through `affine_dimension`
 on flats of every rank in d = 1..5, and through `kernel_vector` and
 `invert_matrix` on matrices of up to 5 x 5 of every rank, with integer,
-rational and mixed int/Fraction entries.
+rational and mixed int/Fraction entries. `compress` (image and point map)
+and `apply_affine` range over d = 1..4 with integer, rational and mixed
+points, rational offsets and translations, |n.v| up to 8 (anchors with a
+denominator neither the points nor the offset have), lines of one point and
+lines of several.
 """
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sumlab import (
+    AffineMap,
+    CompressionSpec,
     Direction,
     Hyperplane,
     PointSet,
     affine_dimension,
+    apply_affine,
+    compress,
     difference_set,
     hyperplane_slices,
     line_partition,
@@ -40,6 +49,8 @@ from sumlab.pointset import difference_count, sumset_count
 from sumlab.search import diff_count
 from conftest import (
     _fraction_rref,
+    oracle_apply_affine,
+    oracle_compress,
     oracle_diff_count,
     oracle_hyperplane_slices,
     oracle_line_partition,
@@ -315,3 +326,72 @@ def test_invert_matrix_matches_oracle(case):
     assert all(type(x) is Fraction for row in inv for x in row)
     product = [[sum(a * inv[k][j] for k, a in enumerate(row)) for j in range(n)] for row in rows]
     assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def compress_cases(draw):
+    """(d, points, normal, offset, direction): a few lines along the direction, each with one to
+    four points, plus stray points; normal . direction is never 0."""
+    d = draw(st.integers(1, 4))
+    dens, _ = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
+    vec = draw(st.tuples(*[st.integers(-2, 2)] * d).filter(any))
+    normal = draw(st.tuples(*[st.integers(-2, 2)] * d).filter(lambda n: sum(map(mul, n, vec))))
+    offset = draw(_coords((1, 2, 3, 5)))
+    point = st.tuples(*[_coords(dens)] * d)
+    lines = draw(st.lists(st.tuples(point, st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True)),
+                          min_size=1, max_size=4))
+    pts = {tuple(b + k * x for b, x in zip(base, vec)) for base, ks in lines for k in ks}
+    pts.update(draw(st.lists(point, max_size=3)))
+    return d, sorted(pts), normal, offset, vec
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(compress_cases())
+def test_compress_matches_oracle(case):
+    d, pts, normal, offset, vec = case
+    image, mapping = compress(PointSet.of(d, pts), CompressionSpec(Hyperplane.of(normal, offset), Direction.of(vec)))
+    want_image, want_map = oracle_compress(pts, normal, offset, vec)
+    assert image.points == want_image
+    assert mapping == want_map
+    assert _is_exact(image)
+    assert all(type(c) is Fraction for p in mapping.values() for c in p)
+
+
+@pytest.mark.parametrize(
+    "pts, normal, offset, vec",
+    [
+        # n.v = 3 and offset 1/3 on integer points: the anchors have denominator 9
+        ([(0, 0), (1, 1), (2, 2), (1, 0)], (1, 2), Fraction(1, 3), (1, 1)),
+        # n.v = -5, rational points, every line a single point
+        ([(Fraction(1, 2), 0), (0, Fraction(1, 3)), (2, 2)], (1, 2), Fraction(-1, 2), (-1, 3)),
+        # d = 1: one line, n.v = 4
+        ([(Fraction(-3, 2),), (0,), (7,)], (2,), Fraction(2, 5), (2,)),
+    ],
+    ids=["nv3-integer", "nv-5-singletons", "d1-nv4"],
+)
+def test_compress_matches_oracle_examples(pts, normal, offset, vec):
+    spec = CompressionSpec(Hyperplane.of(normal, offset), Direction.of(vec))
+    image, mapping = compress(PointSet.of(len(vec), pts), spec)
+    want_image, want_map = oracle_compress(pts, normal, offset, vec)
+    assert (image.points, mapping) == (want_image, want_map)
+
+
+@st.composite
+def affine_cases(draw):
+    """(d, points, matrix, translation) with an invertible matrix; entries integer, rational or mixed."""
+    d = draw(st.integers(1, 4))
+    dens, map_dens = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
+    pts = draw(_points(d, dens, 1))
+    matrix = draw(st.lists(st.tuples(*[_coords(map_dens)] * d), min_size=d, max_size=d))
+    assume(len(_fraction_rref(matrix)[1]) == d)
+    translation = draw(st.tuples(*[_coords((1, 2, 7))] * d))
+    return d, pts, matrix, translation
+
+
+@PROPERTY
+@given(affine_cases())
+def test_apply_affine_matches_oracle(case):
+    d, pts, matrix, translation = case
+    image = apply_affine(PointSet.of(d, pts), AffineMap.of(matrix, translation))
+    assert image.points == oracle_apply_affine(pts, matrix, translation)
+    assert _is_exact(image)

@@ -19,7 +19,6 @@ import sumlab.pointset as P
 import sumlab.search as S
 from sumlab import CompressionSpec, Direction, Hyperplane, PointSet, SearchSpec, compress
 from sumlab import exhaustive_min_diff, random_probe, reduce
-from sumlab.incidence import LinePartition
 
 assert not __debug__, "expected python -O"
 square = PointSet.of(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -69,7 +68,7 @@ CASES = {
     ),
     "compress": (
         # every point its own fibre: two points of one line both land where it meets the hyperplane
-        "C.line_partition = lambda a, l: LinePartition(l, tuple((p, PointSet(a.dim, (p,))) for p in a.points))\n"
+        "C._shadow_keys = lambda pts, lv: [(i,) for i in range(len(pts))]\n"
         "compress(PointSet.of(2, [(0, 0), (0, 1)]), CompressionSpec(Hyperplane.of((0, 1), 0), Direction.of((0, 1))))",
         "compression postcondition failed",
     ),
@@ -92,7 +91,7 @@ CASES = {
     ),
     "apply_affine": (
         # every point goes to the origin
-        "P.AffineMap.apply = lambda self, p: (0,) * len(p)\n"
+        "P.AffineMap._integer_form = property(lambda self: (1, ((0, 0), (0, 0)), (0, 0)))\n"
         "P.apply_affine(square, P.AffineMap.identity(2))",
         "affine image postcondition failed",
     ),
