@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .incidence import Direction, Hyperplane, _dot, _shadow_keys, line_partition
+from .incidence import Direction, Hyperplane, _dot, _shadow, _shadow_keys, line_partition
 from .linalg import affine_basis
 from .pointset import (
     AffineMap, Point, PointSet, _coerce_coord, _from_integers, _json_fields, _over_common_denominator, _point,
@@ -189,35 +189,40 @@ class CompressionTrace:
 
 
 def _axis_spec(dim: int, axis: int) -> CompressionSpec:
+    # e_axis is already a primitive normal and direction with positive leading entry
     normal = unit(dim, axis)
-    return CompressionSpec(Hyperplane.of(normal, 0), Direction.of(normal))
+    return CompressionSpec(Hyperplane(normal, Fraction(0)), Direction(normal))
 
 
 def _assert_downclosed(a: PointSet) -> None:
-    members = set(a.points)
-    for p in a.points:
-        for i, c in enumerate(p):
-            if c.denominator != 1 or c < 0:
+    # over the common denominator s, a coordinate c is an integer when s divides it, and c - s is one below it
+    s, pts = _over_common_denominator(a)
+    members = set(pts)
+    for p, q in zip(a.points, pts):
+        for i, c in enumerate(q):
+            if c % s or c < 0:
                 raise RuntimeError(f"expected nonnegative integer coordinates, got {p}")
-            if c > 0:
-                below = p[:i] + (c - 1,) + p[i + 1 :]
-                if below not in members:
-                    raise RuntimeError(f"set is not down-closed at {p}, axis {i}")
+            if c > 0 and q[:i] + (c - s,) + q[i + 1 :] not in members:
+                raise RuntimeError(f"set is not down-closed at {p}, axis {i}")
 
 
 def _normalizing_map(a: PointSet, l: Direction) -> AffineMap:
     """Affine map sending l to the last axis and a chosen simplex of A onto
     {0, e_1, ..., e_d}: two points of a common fiber go to 0 and e_d, then a
-    greedy rank extension in lexicographic order fills e_1 .. e_{d-1}."""
-    d = a.dim
-    part = line_partition(a, l)
-    rich = [cls for _, cls in part.classes if len(cls) >= 2]
-    fiber = min(rich, key=lambda c: c.points[0])
-    p0, q = fiber.points[:2]
-    along, *rest = affine_basis((p0, q, *a.points))
+    greedy rank extension in lexicographic order fills e_1 .. e_{d-1}.
+
+    The fiber is the one with the smallest first point, and the rank
+    extension runs on the points over their common denominator s (a
+    positive factor, so it keeps the same vectors), each divided by s."""
+    s, pts = _over_common_denominator(a)
+    fibers: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(_shadow_keys(pts, l.vec)):
+        fibers.setdefault(key, []).append(i)
+    i0, i1 = min(fiber[:2] for fiber in fibers.values() if len(fiber) >= 2)
+    along, *rest = affine_basis((pts[i0], pts[i1], *pts))
     columns = [*rest, along]
-    mat = tuple(tuple(col[i] for col in columns) for i in range(d))
-    return AffineMap(mat, p0).inverse
+    mat = tuple(tuple(Fraction(col[i], s) for col in columns) for i in range(a.dim))
+    return AffineMap(mat, a.points[i0]).inverse
 
 
 def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, CompressionTrace]:
@@ -245,7 +250,7 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
         raise ValueError("operand dimension mismatch")
     if affine_dimension(a) != d:
         raise ValueError("set must span the ambient space")
-    s = line_partition(a, l).count
+    s = len(set(_shadow(a, l.vec)[1]))
     if s == len(a):
         raise ValueError("every line parallel to l meets the set in a single point")
     if d == 2 and s > 2:
@@ -275,9 +280,10 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
     if missing:
         raise RuntimeError(f"axis compressions lost the unit simplex points {missing}")
 
-    slab_plane = Hyperplane.of(unit(d, 0), 0)
+    # the points are in lexicographic order, so the last one has the largest first coordinate
+    slab_plane = _axis_spec(d, 0).hyperplane
     while True:
-        slab_count = 1 + max(p[0] for p in x.points)
+        slab_count = 1 + x.points[-1][0]
         if slab_count < 2:
             raise RuntimeError("the set lies in one slab along the first axis")
         anchors = [p for p in x.points if p[0] == 0 and p[-1] == 0]
@@ -286,7 +292,7 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
         run(CompressionSpec(slab_plane, Direction.of(f)))
         if slab_count == 2:
             break
-        new_count = 1 + max(p[0] for p in x.points)
+        new_count = 1 + x.points[-1][0]
         if new_count >= slab_count:
             raise RuntimeError(f"slab count must strictly decrease, went {slab_count} to {new_count}")
 
