@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .incidence import Direction, Hyperplane, _dot, _shadow, _shadow_keys, line_partition
 from .linalg import affine_basis
@@ -43,6 +44,14 @@ class CompressionSpec:
         return cls(Hyperplane.from_json(hyperplane), Direction.from_json(direction))
 
 
+def _fibers(pts: list[tuple[int, ...]], v: tuple[int, ...]) -> Iterable[list[int]]:
+    """The indices of the integer points on each line parallel to v, in the points' order."""
+    fibers: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(_shadow_keys(pts, v)):
+        fibers.setdefault(key, []).append(i)
+    return fibers.values()
+
+
 def compress(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, dict[Point, Point]]:
     """Slide each fiber parallel to the direction into a run u, u+v, u+2v, ...
 
@@ -65,11 +74,8 @@ def compress(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, dict[Point, 
     s, pts = _over_common_denominator(a)
     q, k = offset.denominator, abs(nv)
     step = [s * q * k * x for x in v]
-    fibers: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(_shadow_keys(pts, v)):
-        fibers.setdefault(key, []).append(i)
     moved: list = [None] * len(pts)
-    for fiber in fibers.values():
+    for fiber in _fibers(pts, v):
         p0 = pts[fiber[0]]
         t = (s * offset.numerator - q * _dot(normal, p0)) * (1 if nv > 0 else -1)
         u = [q * k * c + t * x for c, x in zip(p0, v)]
@@ -215,10 +221,7 @@ def _normalizing_map(a: PointSet, l: Direction) -> AffineMap:
     extension runs on the points over their common denominator s (a
     positive factor, so it keeps the same vectors), each divided by s."""
     s, pts = _over_common_denominator(a)
-    fibers: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(_shadow_keys(pts, l.vec)):
-        fibers.setdefault(key, []).append(i)
-    i0, i1 = min(fiber[:2] for fiber in fibers.values() if len(fiber) >= 2)
+    i0, i1 = min(fiber[:2] for fiber in _fibers(pts, l.vec) if len(fiber) >= 2)
     along, *rest = affine_basis((pts[i0], pts[i1], *pts))
     columns = [*rest, along]
     mat = tuple(tuple(Fraction(col[i], s) for col in columns) for i in range(a.dim))
