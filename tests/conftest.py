@@ -37,6 +37,15 @@ def oracle_pair_diffs(a_points, b_points) -> tuple:
     return tuple(sorted({tuple(x - y for x, y in zip(p, q)) for p in pa for q in pb}))
 
 
+def _canonical_direction(vec) -> tuple[int, ...]:
+    """The primitive integer vector with positive first nonzero entry on the line of vec."""
+    vec = [Fraction(x) for x in vec]
+    scale = lcm(*(f.denominator for f in vec))
+    ints = [int(f * scale) for f in vec]
+    g = gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+    return tuple(x // g for x in ints)
+
+
 def oracle_min_line_cover(points) -> tuple[tuple[int, ...], int]:
     """(direction vector, line count) of a minimal parallel-line cover, by brute force.
 
@@ -47,12 +56,7 @@ def oracle_min_line_cover(points) -> tuple[tuple[int, ...], int]:
     pts = sorted({tuple(Fraction(c) for c in p) for p in points})
     best = None
     for p, q in itertools.combinations(pts, 2):
-        diff = [y - x for x, y in zip(p, q)]
-        scale = lcm(*(f.denominator for f in diff))
-        ints = [int(f * scale) for f in diff]
-        g = gcd(*ints)
-        sign = 1 if next(x for x in ints if x) > 0 else -1
-        vec = tuple(sign * x // g for x in ints)
+        vec = _canonical_direction([y - x for x, y in zip(p, q)])
         norm = sum(x * x for x in vec)
         lines = set()
         for r in pts:
@@ -179,15 +183,6 @@ def oracle_major_hyperplane(points, vec):
         return None
     pts = {tuple(Fraction(c) for c in p) for p in points}
     return min(found, key=lambda h: (-sum(_fraction_dot(h[0], p) == h[1] for p in pts), h))
-
-
-def _canonical_direction(vec) -> tuple[int, ...]:
-    """The primitive integer vector with positive first nonzero entry on the line of vec."""
-    vec = [Fraction(x) for x in vec]
-    scale = lcm(*(f.denominator for f in vec))
-    ints = [int(f * scale) for f in vec]
-    g = gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
-    return tuple(x // g for x in ints)
 
 
 def oracle_compress(points, normal, offset, vec) -> tuple:

@@ -15,7 +15,7 @@ on flats of every rank in d = 1..5, and through `kernel_vector` and
 `invert_matrix` on matrices of up to 5 x 5 of every rank, with integer,
 rational and mixed int/Fraction entries. `compress` (image and point map)
 and `apply_affine` range over d = 1..4 with integer, rational and mixed
-points, rational offsets and translations, |n.v| up to 8 (anchors with a
+points, rational offsets and translations, |n.v| up to 16 (anchors with a
 denominator neither the points nor the offset have), lines of one point and
 lines of several.
 """
