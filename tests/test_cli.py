@@ -338,6 +338,8 @@ GOLDEN_RUNS = {
         "compress", "--input", "inputs/a2.json", "--b", "inputs/b2.json",
         "--normal", "1,2", "--offset", "1/3", "--direction", "1,1",
     ],
+    # a whole set built by set arithmetic on rational input, with denominators 2, 3 and 6
+    "diff_a2_b2": ["diff", "--input", "inputs/a2.json", "--b", "inputs/b2.json"],
     "lines_a3_cover": ["lines", "--input", "inputs/a3.json"],
     "lines_a2_partition": ["lines", "--input", "inputs/a2.json", "--direction", "1,0"],
     "diagnose_a3": ["diagnose", "--input", "inputs/a3.json"],
