@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .incidence import Direction, Hyperplane, _dot, _shadow, _shadow_keys, line_partition
 from .linalg import affine_basis
 from .pointset import (
-    AffineMap, Point, PointSet, _coerce_coord, _from_integers, _json_fields, _over_common_denominator, _point,
-    affine_dimension, apply_affine, parse_rational, unit,
+    AffineMap, Point, PointSet, _coerce_coord, _from_integers, _json_fields, _point, _scaled, affine_dimension,
+    apply_affine, parse_rational, unit,
 )
 
 
@@ -44,7 +44,7 @@ class CompressionSpec:
         return cls(Hyperplane.from_json(hyperplane), Direction.from_json(direction))
 
 
-def _fibers(pts: list[tuple[int, ...]], v: tuple[int, ...]) -> Iterable[list[int]]:
+def _fibers(pts: Sequence[tuple[int, ...]], v: tuple[int, ...]) -> Iterable[list[int]]:
     """The indices of the integer points on each line parallel to v, in the points' order."""
     fibers: dict[tuple[int, ...], list[int]] = {}
     for i, key in enumerate(_shadow_keys(pts, v)):
@@ -58,20 +58,28 @@ def compress(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, dict[Point, 
     u is the fiber's intersection with the hyperplane; points keep their order
     along the direction, so the result is a pointwise bijection and
     cardinality is preserved.  Returns (image, point map).
-
-    The work is in integers: with the points p' / s over their common
-    denominator, the offset c = c' / q and k = |n.v|, the anchor of the fiber
-    starting at p is u = p + (c - n.p) / (n.v) v, and over the scale s q k it
-    is the integer point q k p' + sign(n.v) (s c' - q n.p') v.
     """
-    if not a.points:
+    image, moved = _slide(a, spec)
+    # the images are distinct, so sorting them lines them up with the image's points
+    as_fractions = dict(zip(sorted(moved), image.points))
+    return image, {p: as_fractions[m] for p, m in zip(a.points, moved)}
+
+
+def _slide(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, list[tuple[int, ...]]]:
+    """(image, moved) of `compress`, moved[i] the image of a.ints[i] over a multiple of its scale.
+
+    With the points p' / s, the offset c = c' / q and k = |n.v|, the anchor of
+    the fiber starting at p is u = p + (c - n.p) / (n.v) v, and over the scale
+    s q k it is the integer point q k p' + sign(n.v) (s c' - q n.p') v.
+    """
+    if not a.ints:
         raise ValueError("cannot compress an empty set")
     if len(spec.direction.vec) != a.dim:
         raise ValueError("compression dimension mismatch")
     v = spec.direction.vec
     normal, offset = spec.hyperplane.normal, spec.hyperplane.offset
     nv = _dot(normal, v)
-    s, pts = _over_common_denominator(a)
+    s, pts = a.scale, a.ints
     q, k = offset.denominator, abs(nv)
     step = [s * q * k * x for x in v]
     moved: list = [None] * len(pts)
@@ -84,14 +92,12 @@ def compress(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, dict[Point, 
     image = _from_integers(a.dim, s * q * k, moved)
     if len(image) != len(a):
         raise RuntimeError(f"compression postcondition failed: {len(a)} points went to {len(image)}")
-    # the images are distinct, so sorting them lines them up with the image's points
-    as_fractions = dict(zip(sorted(moved), image.points))
-    return image, {p: as_fractions[m] for p, m in zip(a.points, moved)}
+    return image, moved
 
 
 def compress_pair(a: PointSet, b: PointSet, spec: CompressionSpec) -> tuple[PointSet, PointSet]:
     """Apply one compression to both operands (sumset size can only shrink)."""
-    return compress(a, spec)[0], compress(b, spec)[0]
+    return _slide(a, spec)[0], _slide(b, spec)[0]
 
 
 @dataclass(frozen=True)
@@ -138,26 +144,26 @@ class CompressionTrace:
                 raise ValueError(f"trace step {i} has dimension {dim}, but the trace has dimension {want}")
 
     def apply_specs(self, x: PointSet) -> PointSet:
-        if self.initial_affine is not None and x.points:
+        if self.initial_affine is not None and x.ints:
             x = apply_affine(x, self.initial_affine)
         for step in self.steps:
-            if not x.points:
+            if not x.ints:
                 break
-            x = compress(x, step.spec)[0]
+            x = _slide(x, step.spec)[0]
         return x
 
     def replay(self, x: PointSet) -> PointSet:
-        if self.initial_affine is not None and x.points:
+        if self.initial_affine is not None and x.ints:
             x = apply_affine(x, self.initial_affine)
+        pts = x.points
         for step in self.steps:
             lookup = dict(step.mapping)
             try:
-                images = [lookup[p] for p in x.points]
+                pts = [lookup[p] for p in pts]
             except KeyError as exc:
                 raise ValueError("replay input does not match the recorded domain") from exc
-            # a step maps distinct points to distinct images, so the sorted images are strictly increasing
-            x = PointSet._from_sorted(x.dim, tuple(sorted(images)))
-        return x
+        # a step maps distinct points to distinct images, so no two points merge
+        return _from_integers(x.dim, *_scaled(pts))
 
     def to_json(self) -> dict:
         return {
@@ -201,14 +207,12 @@ def _axis_spec(dim: int, axis: int) -> CompressionSpec:
 
 
 def _assert_downclosed(a: PointSet) -> None:
-    # over the common denominator s, a coordinate c is an integer when s divides it, and c - s is one below it
-    s, pts = _over_common_denominator(a)
-    members = set(pts)
-    for p, q in zip(a.points, pts):
+    # at the set's scale s, a coordinate c is an integer when s divides it, and c - s is one below it
+    for p, q in zip(a.points, a.ints):
         for i, c in enumerate(q):
-            if c % s or c < 0:
+            if c % a.scale or c < 0:
                 raise RuntimeError(f"expected nonnegative integer coordinates, got {p}")
-            if c > 0 and q[:i] + (c - s,) + q[i + 1 :] not in members:
+            if c > 0 and q[:i] + (c - a.scale,) + q[i + 1 :] not in a._members:
                 raise RuntimeError(f"set is not down-closed at {p}, axis {i}")
 
 
@@ -218,14 +222,14 @@ def _normalizing_map(a: PointSet, l: Direction) -> AffineMap:
     greedy rank extension in lexicographic order fills e_1 .. e_{d-1}.
 
     The fiber is the one with the smallest first point, and the rank
-    extension runs on the points over their common denominator s (a
-    positive factor, so it keeps the same vectors), each divided by s."""
-    s, pts = _over_common_denominator(a)
+    extension runs on the set's integer points, the points times its scale s
+    (a positive factor, so it keeps the same vectors), each divided by s."""
+    s, pts = a.scale, a.ints
     i0, i1 = min(fiber[:2] for fiber in _fibers(pts, l.vec) if len(fiber) >= 2)
     along, *rest = affine_basis((pts[i0], pts[i1], *pts))
     columns = [*rest, along]
     mat = tuple(tuple(Fraction(col[i], s) for col in columns) for i in range(a.dim))
-    return AffineMap(mat, a.points[i0]).inverse
+    return AffineMap(mat, tuple(Fraction(c, s) for c in pts[i0])).inverse
 
 
 def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, CompressionTrace]:
@@ -264,15 +268,15 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
 
     transform = _normalizing_map(a, l)
     x = apply_affine(a, transform)
-    y = apply_affine(b, transform) if b.points else b
+    y = apply_affine(b, transform) if b.ints else b
     steps: list[TraceStep] = []
 
     def run(spec: CompressionSpec) -> None:
         nonlocal x, y
         x, mapping = compress(x, spec)
         steps.append(TraceStep(spec, tuple(sorted(mapping.items()))))
-        if y.points:
-            y = compress(y, spec)[0]
+        if y.ints:
+            y = _slide(y, spec)[0]
 
     run(_axis_spec(d, d - 1))
     for axis in range(d - 2, -1, -1):

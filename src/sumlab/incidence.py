@@ -5,13 +5,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul, sub
 from typing import Sequence
 
 from .linalg import affine_basis, kernel_vector
 from .pointset import (
-    Point, PointSet, _coerce_coord, _json_fields, _over_common_denominator, coerce_point, format_rational,
+    Point, PointSet, _coerce_coord, _from_integers, _json_fields, _scaled, coerce_point, format_rational,
 )
 
 
@@ -25,9 +25,7 @@ def _primitive_int(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 def _primitive(vec: Sequence) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive, sign-canonical integer vector."""
-    fracs = coerce_point(vec)
-    scale = lcm(*(f.denominator for f in fracs))
-    return _primitive_int(tuple(f.numerator * (scale // f.denominator) for f in fracs))
+    return _primitive_int(_scaled([coerce_point(vec)])[1][0])
 
 
 @dataclass(frozen=True)
@@ -103,17 +101,16 @@ class LinePartition:
 
 
 def _shadow(a: PointSet, lv: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
-    """(s, keys) in integers, keys[i] / s being a.points[i] projected along lv: over the set's common
-    denominator scale, p' = scale * p has key p' |lv|^2 - (p' . lv) lv, and s = scale * |lv|^2."""
-    if not a.points:
+    """(s, keys) in integers, keys[i] / s being a.points[i] projected along lv: the integer
+    point p' = a.scale * p has key p' |lv|^2 - (p' . lv) lv, and s = a.scale * |lv|^2."""
+    if not a.ints:
         raise ValueError("empty set")
     if len(lv) != a.dim:
         raise ValueError("direction dimension mismatch")
-    scale, pts = _over_common_denominator(a)
-    return scale * _dot(lv, lv), _shadow_keys(pts, lv)
+    return a.scale * _dot(lv, lv), _shadow_keys(a.ints, lv)
 
 
-def _shadow_keys(pts: list[tuple[int, ...]], lv: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _shadow_keys(pts: Sequence[tuple[int, ...]], lv: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The key p |lv|^2 - (p . lv) lv of each integer point p: two keys are equal exactly when
     their points lie on one line parallel to lv."""
     norm = _dot(lv, lv)
@@ -124,11 +121,11 @@ def line_partition(a: PointSet, l: Direction) -> LinePartition:
     """Group points by the line parallel to l through them (exact projection keys); each
     class lists its points in lexicographic order, which is their order along l."""
     s, keys = _shadow(a, l.vec)
-    groups: dict[tuple[int, ...], list[Point]] = {}
-    for key, p in zip(keys, a.points):
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for key, p in zip(keys, a.ints):
         groups.setdefault(key, []).append(p)
     classes = tuple(
-        (tuple(Fraction(x, s) for x in key), PointSet._from_sorted(a.dim, tuple(pts)))
+        (tuple(Fraction(x, s) for x in key), _from_integers(a.dim, a.scale, pts))
         for key, pts in sorted(groups.items())
     )
     return LinePartition(l, classes)
@@ -141,8 +138,8 @@ def min_line_cover(a: PointSet) -> tuple[Direction, int]:
     That is exact whenever the optimum is below |A|: an optimal line then
     carries two set points, so its direction is a pairwise difference.
 
-    The points are scaled to integers over the lcm of their denominators (a
-    positive factor, so no direction changes).  Each pair i < j is bucketed by
+    The work is on the set's integer points (the points times a positive
+    scale, so no direction changes).  Each pair i < j is bucketed by
     its primitive sign-canonical direction, and each bucket counts the points
     j that have an earlier point on their line; along that direction the set
     needs |A| minus that count lines.  This is O(|A|^2) integer work in all,
@@ -152,10 +149,9 @@ def min_line_cover(a: PointSet) -> tuple[Direction, int]:
     n = len(a)
     if n < 2:
         raise ValueError("need at least two points")
-    _, pts = _over_common_denominator(a)
     joined: Counter[tuple[int, ...]] = Counter()
-    for j, q in enumerate(pts):
-        joined.update({_primitive_int(tuple(map(sub, q, p))) for p in pts[:j]})
+    for j, q in enumerate(a.ints):
+        joined.update({_primitive_int(tuple(map(sub, q, p))) for p in a.ints[:j]})
     vec, count = min(joined.items(), key=lambda item: (-item[1], item[0]))
     return Direction(vec), n - count
 
@@ -268,15 +264,14 @@ def hyperplane_slices(a: PointSet, h: Hyperplane) -> list[tuple[Hyperplane, Poin
     set from the larger-offset side the order is decreasing, otherwise
     increasing (the convention for an offset strictly inside the range).
     """
-    if not a.points:
+    if not a.ints:
         raise ValueError("empty set")
     if len(h.normal) != a.dim:
         raise ValueError("hyperplane dimension mismatch")
-    scale, pts = _over_common_denominator(a)
-    groups: dict[int, list[Point]] = {}
-    for q, p in zip(pts, a.points):
-        groups.setdefault(_dot(h.normal, q), []).append(p)
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for p in a.ints:
+        groups.setdefault(_dot(h.normal, p), []).append(p)
     values = sorted(groups)
-    if h.offset * scale >= values[-1] and values[0] < values[-1]:
+    if h.offset * a.scale >= values[-1] and values[0] < values[-1]:
         values = values[::-1]
-    return [(Hyperplane(h.normal, Fraction(v, scale)), PointSet._from_sorted(a.dim, tuple(groups[v]))) for v in values]
+    return [(Hyperplane(h.normal, Fraction(v, a.scale)), _from_integers(a.dim, a.scale, groups[v])) for v in values]

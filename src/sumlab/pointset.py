@@ -1,8 +1,9 @@
 """Finite sets of rational points with exact set arithmetic.
 
-All coordinates are `fractions.Fraction` values, stored in lowest terms with
-positive denominator, so membership and deduplication are exact: no rounding
-can ever create or destroy a collision in a sumset.
+A set is stored as integer points over its least common denominator, so sums,
+differences, ranks and membership are exact integer work: no rounding can ever
+create or destroy a collision in a sumset.  Coordinates are read and written as
+`fractions.Fraction` values.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import add, ge, mul, sub
 from typing import Iterable, Sequence
 
@@ -79,49 +81,64 @@ def unit(dim: int, axis: int) -> tuple[int, ...]:
     return tuple(1 if i == axis else 0 for i in range(dim))
 
 
-@dataclass(frozen=True)
+def _scaled(rows: Sequence[Sequence]) -> tuple[int, list[tuple[int, ...]]]:
+    """(m, each row times m as an integer tuple), m the lcm of the denominators of the rows'
+    int and Fraction entries: the least positive integer that makes every entry an integer."""
+    m = lcm(*{c.denominator for row in rows for c in row})
+    return m, [tuple([c.numerator * (m // c.denominator) for c in row]) for row in rows]
+
+
+@dataclass(frozen=True, init=False)
 class PointSet:
-    """Deduplicated, lexicographically ordered finite subset of Q^dim."""
+    """Deduplicated, lexicographically ordered finite subset of Q^dim, stored as `ints`: the
+    points times `scale`, the least positive integer that makes every coordinate an integer,
+    as integer tuples in strictly increasing order, so equal sets have equal fields.  `points`
+    is the same set as `Fraction` tuples."""
 
     dim: int
-    points: tuple[Point, ...]
+    scale: int
+    ints: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        pts = self.points
-        bad = next((p for p in pts if len(p) != self.dim), None)
+    def __init__(self, dim: int, points: Sequence[Sequence]):
+        bad = next((p for p in points if len(p) != dim), None)
         if bad is not None:
-            raise ValueError(f"point {bad} has length {len(bad)} in ambient dimension {self.dim}")
-        if any(map(ge, pts, pts[1:])):
-            bad = next(q for p, q in zip(pts, pts[1:]) if p >= q)
+            raise ValueError(f"point {bad} has length {len(bad)} in ambient dimension {dim}")
+        bad = [c for p in points for c in p if type(c) not in (int, Fraction)]
+        if bad:
+            raise ValueError(f"{type(bad[0]).__name__} coordinate {bad[0]!r} rejected; use int or Fraction")
+        if any(map(ge, points, points[1:])):
+            bad = next(q for p, q in zip(points, points[1:]) if p >= q)
             raise ValueError(f"points must be strictly increasing: {bad} repeats or follows a larger point")
+        scale, ints = _scaled(points)
+        self.__dict__.update(dim=dim, scale=scale, ints=tuple(ints))  # past the frozen __setattr__
 
     @classmethod
     def of(cls, dim: int, points: Iterable[Sequence]) -> "PointSet":
         if dim < 1:
             raise ValueError("ambient dimension must be positive")
-        return cls._from_sorted(dim, tuple(sorted({coerce_point(p, dim) for p in points})))
-
-    @classmethod
-    def _from_sorted(cls, dim: int, points: tuple[Point, ...]) -> "PointSet":
-        """The set of points that are already Fraction tuples of length dim in strictly increasing
-        order, skipping the scan `__post_init__` makes of them."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "points", points)
-        return out
+        return _from_integers(dim, *_scaled([coerce_point(p, dim) for p in points]))
 
     @cached_property
-    def _members(self) -> frozenset[Point]:
-        return frozenset(self.points)
+    def points(self) -> tuple[Point, ...]:
+        """The points as Fraction tuples, building one Fraction per distinct coordinate value."""
+        s = self.scale
+        fracs = {x: Fraction(x, s) for x in {x for p in self.ints for x in p}}
+        return tuple(tuple(map(fracs.__getitem__, p)) for p in self.ints)
+
+    @cached_property
+    def _members(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.ints)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ints)
 
     def __iter__(self):
         return iter(self.points)
 
     def __contains__(self, item) -> bool:
-        return coerce_point(item, self.dim) in self._members
+        # the point, over its own least scale m, is on the set's lattice when m divides the scale
+        m, (p,) = _scaled([coerce_point(item, self.dim)])
+        return self.scale % m == 0 and tuple([x * (self.scale // m) for x in p]) in self._members
 
     def to_json(self) -> dict:
         return {
@@ -136,51 +153,37 @@ class PointSet:
             raise ValueError(f"bad dimension: {dim!r}")
         if not isinstance(points, list):
             raise ValueError(f"'points' must be a list of points, got {points!r}")
-        pts = [coerce_point(p, dim) for p in points]
-        if len(set(pts)) != len(pts):
+        scale, ints = _scaled([coerce_point(p, dim) for p in points])
+        if len(set(ints)) != len(ints):
             raise ValueError("duplicate points in input")
-        return cls.of(dim, pts)
-
-
-def _require_pair(a: PointSet, b: PointSet) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if not a.points or not b.points:
-        raise ValueError("set arithmetic requires nonempty operands")
-
-
-def _over_common_denominator(*sets: PointSet) -> tuple:
-    """(scale, integer points of each set): the points times the lcm of all denominators.
-
-    The scale is positive, so sums, differences, directions and lexicographic
-    order all carry over between the integer and the rational points.
-    """
-    scale = lcm(*{c.denominator for s in sets for p in s.points for c in p})
-    return (scale, *(
-        [tuple([c.numerator * (scale // c.denominator) for c in p]) for p in s.points]
-        for s in sets
-    ))
+        return _from_integers(dim, scale, ints)
 
 
 def _from_integers(dim: int, scale: int, points: Iterable[tuple[int, ...]]) -> PointSet:
-    """The set of the distinct points / scale, building one Fraction per distinct coordinate value.
-
-    The scale is positive, so the sorted distinct integer tuples give the Fraction points in
-    strictly increasing order; only their lengths need checking.
-    """
-    pts = sorted(set(points))
-    bad = next((p for p in pts if len(p) != dim), None)
+    """The set of the distinct points / scale, for a positive integer scale: sorted, they are in
+    strictly increasing order, and dividing by their gcd with the scale leaves the least scale."""
+    ints = sorted(set(points))
+    bad = next((p for p in ints if len(p) != dim), None)
     if bad is not None:
         bad_point = tuple(Fraction(x, scale) for x in bad)
         raise ValueError(f"point {bad_point} has length {len(bad)} in ambient dimension {dim}")
-    fracs = {x: Fraction(x, scale) for x in {x for p in pts for x in p}}
-    return PointSet._from_sorted(dim, tuple(tuple(map(fracs.__getitem__, p)) for p in pts))
+    g = gcd(scale, *chain.from_iterable(ints)) if scale > 1 else 1
+    if g > 1:
+        scale //= g
+        ints = [tuple([x // g for x in p]) for p in ints]
+    out = object.__new__(PointSet)
+    out.__dict__.update(dim=dim, scale=scale, ints=tuple(ints))
+    return out
 
 
 def _pairwise(a: PointSet, b: PointSet, op) -> tuple[int, set[tuple[int, ...]]]:
     """(scale, the distinct op(p, q) for p in a, q in b, as integer points over scale)."""
-    _require_pair(a, b)
-    scale, pa, pb = _over_common_denominator(a, b)
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if not a.ints or not b.ints:
+        raise ValueError("set arithmetic requires nonempty operands")
+    scale = lcm(a.scale, b.scale)
+    pa, pb = ([tuple([c * (scale // x.scale) for c in p]) for p in x.ints] for x in (a, b))
     return scale, {tuple(map(op, p, q)) for p in pa for q in pb}
 
 
@@ -206,18 +209,18 @@ def difference_count(a: PointSet, b: PointSet) -> int:
 
 def affine_dimension(a: PointSet) -> int:
     """Dimension of the affine span: rank of {p - p0}. 0 for singletons."""
-    if not a.points:
+    if not a.ints:
         raise ValueError("empty set has no affine dimension")
-    return affine_rank(_over_common_denominator(a)[1])
+    return affine_rank(a.ints)
 
 
 def negate(a: PointSet) -> PointSet:
-    return PointSet._from_sorted(a.dim, tuple(sorted(tuple(-c for c in p) for p in a.points)))
+    return _from_integers(a.dim, a.scale, [tuple([-c for c in p]) for p in a.ints])
 
 
 def translate(a: PointSet, t: Sequence) -> PointSet:
-    vec = coerce_point(t, a.dim)
-    return PointSet._from_sorted(a.dim, tuple(sorted(tuple(x + y for x, y in zip(p, vec)) for p in a.points)))
+    shift = PointSet.of(a.dim, [t])
+    return sumset(a, shift) if a.ints else a
 
 
 @dataclass(frozen=True)
@@ -252,12 +255,8 @@ class AffineMap:
     @cached_property
     def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(m, m * matrix, m * translation) in integers, m the lcm of every denominator of the map."""
-        m = lcm(*(c.denominator for row in (*self.matrix, self.translation) for c in row))
-        return (
-            m,
-            tuple(tuple(c.numerator * (m // c.denominator) for c in row) for row in self.matrix),
-            tuple(c.numerator * (m // c.denominator) for c in self.translation),
-        )
+        m, rows = _scaled((*self.matrix, self.translation))
+        return m, tuple(rows[:-1]), rows[-1]
 
     @cached_property
     def inverse(self) -> "AffineMap":
@@ -282,12 +281,11 @@ def apply_affine(a: PointSet, t: AffineMap) -> PointSet:
     """Image of the set; cardinality is preserved because the map is invertible."""
     if len(t.translation) != a.dim:
         raise ValueError("affine map dimension mismatch")
-    # over the scale s * m, with p = p' / s and the map (M' x + t') / m, the image of p is M' p' + s t'
-    s, pts = _over_common_denominator(a)
+    # with s the set's scale, p = p' / s and the map (M' x + t') / m, the image of p over s m is M' p' + s t'
     m, mat, shift = t._integer_form
-    shift = [s * c for c in shift]
+    shift = [a.scale * c for c in shift]
     image = _from_integers(
-        a.dim, s * m, (tuple([sum(map(mul, row, p)) + c for row, c in zip(mat, shift)]) for p in pts)
+        a.dim, a.scale * m, (tuple([sum(map(mul, row, p)) + c for row, c in zip(mat, shift)]) for p in a.ints)
     )
     if len(image) != len(a):
         raise RuntimeError(f"affine image postcondition failed: {len(a)} points went to {len(image)}")

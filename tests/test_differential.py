@@ -17,18 +17,23 @@ rational and mixed int/Fraction entries. `compress` (image and point map)
 and `apply_affine` range over d = 1..4 with integer, rational and mixed
 points, rational offsets and translations, |n.v| up to 16 (anchors with a
 denominator neither the points nor the offset have), lines of one point and
-lines of several.
+lines of several. Every kernel that builds a set is checked to give the set
+that `PointSet.of` gives on its points, with the least scale, over d = 1..4
+and integer, rational and mixed operands, including results whose
+denominator shrinks.
 """
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sumlab import (
     AffineMap,
     CompressionSpec,
+    CompressionTrace,
     Direction,
     Hyperplane,
     PointSet,
@@ -40,10 +45,13 @@ from sumlab import (
     line_partition,
     major_hyperplane,
     min_line_cover,
+    negate,
     project_along,
     sumset,
     supporting_hyperplanes,
+    translate,
 )
+from sumlab.compression import TraceStep
 from sumlab.linalg import invert_matrix, kernel_vector
 from sumlab.pointset import difference_count, sumset_count
 from sumlab.search import diff_count
@@ -395,3 +403,53 @@ def test_apply_affine_matches_oracle(case):
     image = apply_affine(PointSet.of(d, pts), AffineMap.of(matrix, translation))
     assert image.points == oracle_apply_affine(pts, matrix, translation)
     assert _is_exact(image)
+
+
+@st.composite
+def route_cases(draw):
+    """(d, a, b, vec, factor, shift, offset): two operands as for the set arithmetic, a nonzero
+    direction, the map x -> factor * x + shift and a hyperplane offset."""
+    d, pa, pb = draw(operands())
+    vec = draw(st.tuples(*[st.integers(-2, 2)] * d).filter(any))
+    factor = draw(st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(-3), Fraction(3, 2)]))
+    shift = draw(st.tuples(*[_coords((1, 2, 3))] * d))
+    return d, pa, pb, vec, factor, shift, draw(_coords((1, 2, 3)))
+
+
+def _assert_canonical(out: PointSet) -> None:
+    # built from its own Fraction points the set compares and hashes equal, so it has the least scale
+    fresh = PointSet.of(out.dim, out.points)
+    assert out == fresh and hash(out) == hash(fresh)
+    assert out.scale == lcm(*(c.denominator for p in out.points for c in p))
+    assert out.ints == tuple(tuple(c * out.scale for c in p) for p in out.points)
+
+
+@PROPERTY
+@given(route_cases())
+# the denominator shrinks: {1/2} + {1/2} = {1}, {1/2, 3/2} - {1/2, 3/2} and the images under x -> 2x
+@example((1, [(Fraction(1, 2),)], [(Fraction(1, 2),)], (1,), Fraction(2), (Fraction(1, 2),), Fraction(1, 2)))
+@example((2, [(Fraction(1, 2), 0), (Fraction(3, 2), 1)], [(Fraction(1, 3), 1)], (1, 1), Fraction(2), (0, 0), 0))
+def test_every_kernel_output_has_the_least_scale(case):
+    d, pa, pb, vec, factor, shift, offset = case
+    a, b = PointSet.of(d, pa), PointSet.of(d, pb)
+    l = Direction.of(vec)
+    m = AffineMap.of([[factor * (i == j) for j in range(d)] for i in range(d)], shift)
+    spec = CompressionSpec(Hyperplane.of(vec, offset), l)
+    moved = apply_affine(a, m)
+    image, mapping = compress(moved, spec)
+    trace = CompressionTrace((TraceStep(spec, tuple(mapping.items())),), m)
+    assert trace.replay(a) == image == trace.apply_specs(a)
+    h = Hyperplane.of(vec, max(sum(n * c for n, c in zip(vec, p)) for p in pa))
+    outs = [
+        sumset(a, b), difference_set(a, b), difference_set(a, a), negate(a), translate(a, pb[0]),
+        translate(a, [-c for c in pa[0]]), moved, image, trace.replay(a),
+        *(cls for _, cls in line_partition(a, l).classes), *(cls for _, cls in hyperplane_slices(a, h)),
+    ]
+    for out in outs:
+        _assert_canonical(out)
+    members = set(a.points)
+    for p in a.points:
+        # a point off the set's lattice: its first coordinate's denominator does not divide the scale
+        off = (p[0] + Fraction(1, 2 * a.scale), *p[1:])
+        assert p in a and off not in a
+    assert all((q in a) == (q in members) for q in [*b.points, *sumset(a, b).points])

@@ -257,9 +257,9 @@ def test_major_hyperplane_scales_the_set_once(monkeypatch):
     # the incidence counts reuse the integer shadow the facet enumeration was built on
     import sumlab.incidence
 
-    real = sumlab.incidence._over_common_denominator
+    real = sumlab.incidence._shadow
     calls = []
-    monkeypatch.setattr(sumlab.incidence, "_over_common_denominator", lambda *sets: calls.append(sets) or real(*sets))
+    monkeypatch.setattr(sumlab.incidence, "_shadow", lambda *args: calls.append(args) or real(*args))
     a = pset(3, [(0, 0, 0), (Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, Fraction(2, 3)), (1, 1, 1)])
     h = major_hyperplane(a, Direction.of((0, 0, 1)))
     assert len(calls) == 1

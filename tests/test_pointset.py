@@ -193,5 +193,12 @@ def test_raw_constructor_rejects_repeated_unsorted_and_misshapen_points():
         PointSet(2, ((3, 4), (1, 2)))
     with pytest.raises(ValueError, match=r"point \(1, 2, 3\) has length 3 in ambient dimension 2"):
         PointSet(2, ((0, 0), (1, 2, 3)))
+    # the set is stored over its least common denominator, which only int and Fraction coordinates have
+    with pytest.raises(ValueError, match=r"float coordinate 0\.5 rejected"):
+        PointSet(1, ((0.5,), (1.5,)))
+    with pytest.raises(ValueError, match=r"str coordinate '1' rejected"):
+        PointSet(1, (("1",), ("2",)))
+    with pytest.raises(ValueError, match=r"bool coordinate True rejected"):
+        PointSet(2, ((0, True),))
     assert len(PointSet(2, ((1, 2), (3, 4)))) == 2
     assert len(PointSet(2, ())) == 0
