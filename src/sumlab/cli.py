@@ -213,7 +213,7 @@ def _cmd_compress(args, hashes) -> tuple[dict, int]:
     report = {
         "spec": spec.to_json(),
         "result": image.to_json(),
-        "map": TraceStep(spec, tuple(sorted(mapping.items()))).to_json()["map"],
+        "map": TraceStep(spec, tuple(mapping.items())).to_json()["map"],
     }
     if args.b:
         b = _load_pointset(args.b, hashes)

@@ -57,7 +57,7 @@ def compress(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, dict[Point, 
 
     u is the fiber's intersection with the hyperplane; points keep their order
     along the direction, so the result is a pointwise bijection and
-    cardinality is preserved.  Returns (image, point map).
+    cardinality is preserved.  Returns (image, point map), the map in the order of a's points.
     """
     image, moved = _slide(a, spec)
     # the images are distinct, so sorting them lines them up with the image's points
@@ -102,17 +102,10 @@ def compress_pair(a: PointSet, b: PointSet, spec: CompressionSpec) -> tuple[Poin
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One compression and its point map, on Fraction points of the step's dimension."""
+    """One compression and its point map, a bijection of Fraction points that `compress` or `from_json` checks."""
 
     spec: CompressionSpec
     mapping: tuple[tuple[Point, Point], ...]
-
-    def __post_init__(self):
-        if not len(self.mapping) == len({p for p, _ in self.mapping}) == len({q for _, q in self.mapping}):
-            raise ValueError("a trace step must map distinct points to distinct images, or replay shrinks the set")
-        dim = len(self.spec.direction.vec)
-        if any(len(p) != dim or len(q) != dim for p, q in self.mapping):
-            raise ValueError(f"a trace step of dimension {dim} maps a point of another length")
 
     def to_json(self) -> dict:
         out = self.spec.to_json()
@@ -135,7 +128,7 @@ class CompressionTrace:
     initial_affine: AffineMap | None = None
 
     def __post_init__(self):
-        want = None if self.initial_affine is None else len(self.initial_affine.matrix)
+        want = None if self.initial_affine is None else len(self.initial_affine.rows)
         for i, step in enumerate(self.steps):
             dim = len(step.spec.direction.vec)
             if want is None:
@@ -196,6 +189,8 @@ class CompressionTrace:
             if not isinstance(pairs, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
                 raise ValueError(f"'map' must be a list of [point, image] pairs, got {pairs!r}")
             mapping = tuple((_point(pre, dim, coord), _point(post, dim, coord)) for pre, post in pairs)
+            if not len(mapping) == len({p for p, _ in mapping}) == len({q for _, q in mapping}):
+                raise ValueError("a trace step must map distinct points to distinct images, or replay shrinks the set")
             steps.append(TraceStep(spec, mapping))
         return cls(tuple(steps), None if affine is None else AffineMap.from_json(affine))
 
@@ -274,7 +269,7 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
     def run(spec: CompressionSpec) -> None:
         nonlocal x, y
         x, mapping = compress(x, spec)
-        steps.append(TraceStep(spec, tuple(sorted(mapping.items()))))
+        steps.append(TraceStep(spec, tuple(mapping.items())))
         if y.ints:
             y = _slide(y, spec)[0]
 

@@ -85,6 +85,3 @@ def invert_matrix(mat: Sequence[Sequence]) -> Matrix | None:
     ]
     return tuple(tuple(Fraction(v[i], v[n]) for v in columns) for i in range(n))
 
-
-def mat_vec(mat: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in mat)

@@ -9,7 +9,7 @@ create or destroy a collision in a sumset.  Coordinates are read and written as
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import add, ge, mul, sub
 from typing import Iterable, Sequence
 
-from .linalg import affine_rank, invert_matrix, mat_vec
+from .linalg import affine_rank, greedy_basis, invert_matrix
 
 Rational = Fraction
 Point = tuple[Fraction, ...]
@@ -143,7 +143,7 @@ class PointSet:
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
-            "points": [[format_rational(c) for c in p] for p in self.points],
+            "points": [[str(c) for c in p] for p in self.points],
         }
 
     @classmethod
@@ -223,50 +223,57 @@ def translate(a: PointSet, t: Sequence) -> PointSet:
     return sumset(a, shift) if a.ints else a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AffineMap:
-    """x -> matrix @ x + translation with an invertible rational matrix."""
+    """x -> (rows @ x + shift) / scale with an invertible matrix, `scale` the least positive integer
+    that makes every entry an integer, so equal maps have equal fields.  `matrix` and `translation`
+    are the same map, matrix @ x + translation, with `Fraction` entries."""
 
-    matrix: tuple[Point, ...]
-    translation: Point
-    _inverse_matrix: tuple[Point, ...] = field(init=False, repr=False, compare=False)
+    scale: int
+    rows: tuple[tuple[int, ...], ...]
+    shift: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.matrix)
-        if n == 0 or any(len(row) != n for row in self.matrix) or len(self.translation) != n:
+    def __init__(self, matrix: Sequence[Sequence], translation: Sequence):
+        n = len(matrix)
+        if n == 0 or any(len(row) != n for row in matrix) or len(translation) != n:
             raise ValueError("affine map needs a square matrix and a matching translation")
-        inv = invert_matrix(self.matrix)
-        if inv is None:
+        bad = [c for c in chain(*matrix, translation) if type(c) not in (int, Fraction)]
+        if bad:
+            raise ValueError(f"{type(bad[0]).__name__} entry {bad[0]!r} rejected; use int or Fraction")
+        scale, (*rows, shift) = _scaled((*matrix, translation))
+        if len(greedy_basis(rows)) < n:
             raise ValueError("singular matrix")
-        object.__setattr__(self, "_inverse_matrix", inv)
+        self.__dict__.update(scale=scale, rows=tuple(rows), shift=shift)  # past the frozen __setattr__
 
     @classmethod
     def of(cls, matrix: Sequence[Sequence], translation: Sequence) -> "AffineMap":
-        rows = tuple(coerce_point(row) for row in matrix)
-        return cls(rows, coerce_point(translation))
+        return cls([coerce_point(row) for row in matrix], coerce_point(translation))
 
     @classmethod
     def identity(cls, dim: int) -> "AffineMap":
         return cls.of([unit(dim, i) for i in range(dim)], (0,) * dim)
 
-    def apply(self, p: Point) -> Point:
-        return tuple(x + t for x, t in zip(mat_vec(self.matrix, p), self.translation))
+    @cached_property
+    def matrix(self) -> tuple[Point, ...]:
+        return tuple(tuple(Fraction(c, self.scale) for c in row) for row in self.rows)
 
     @cached_property
-    def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """(m, m * matrix, m * translation) in integers, m the lcm of every denominator of the map."""
-        m, rows = _scaled((*self.matrix, self.translation))
-        return m, tuple(rows[:-1]), rows[-1]
+    def translation(self) -> Point:
+        return tuple(Fraction(c, self.scale) for c in self.shift)
 
     @cached_property
     def inverse(self) -> "AffineMap":
-        inv = self._inverse_matrix
-        return AffineMap(inv, tuple(-c for c in mat_vec(inv, self.translation)))
+        # y = (R x + t') / m solves to x = m R^-1 y - R^-1 t'
+        inv = invert_matrix(self.rows)
+        return AffineMap(
+            tuple(tuple(self.scale * c for c in row) for row in inv),
+            tuple(-sum(map(mul, row, self.shift)) for row in inv),
+        )
 
     def to_json(self) -> dict:
         return {
-            "matrix": [[format_rational(c) for c in row] for row in self.matrix],
-            "translation": [format_rational(c) for c in self.translation],
+            "matrix": [[str(c) for c in row] for row in self.matrix],
+            "translation": [str(c) for c in self.translation],
         }
 
     @classmethod
@@ -279,13 +286,12 @@ class AffineMap:
 
 def apply_affine(a: PointSet, t: AffineMap) -> PointSet:
     """Image of the set; cardinality is preserved because the map is invertible."""
-    if len(t.translation) != a.dim:
+    if len(t.shift) != a.dim:
         raise ValueError("affine map dimension mismatch")
-    # with s the set's scale, p = p' / s and the map (M' x + t') / m, the image of p over s m is M' p' + s t'
-    m, mat, shift = t._integer_form
-    shift = [a.scale * c for c in shift]
+    # with s the set's scale, p = p' / s and the map (R x + t') / m, the image of p over s m is R p' + s t'
+    rows, shift = t.rows, [a.scale * c for c in t.shift]
     image = _from_integers(
-        a.dim, a.scale * m, (tuple([sum(map(mul, row, p)) + c for row, c in zip(mat, shift)]) for p in a.ints)
+        a.dim, a.scale * t.scale, (tuple([sum(map(mul, row, p)) + c for row, c in zip(rows, shift)]) for p in a.ints)
     )
     if len(image) != len(a):
         raise RuntimeError(f"affine image postcondition failed: {len(a)} points went to {len(image)}")

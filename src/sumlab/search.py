@@ -42,7 +42,7 @@ from ._version import __version__
 from .bounds import COUNTEREXAMPLE, ClaimReport, check_claim, CLAIM_IDS, _NEEDS_B, _NEEDS_D2, _NEEDS_L, _PLANAR
 from .incidence import Direction
 from .linalg import affine_rank
-from .pointset import PointSet, difference_count
+from .pointset import PointSet, _from_integers, difference_count
 
 IntPoint = tuple[int, ...]
 
@@ -184,12 +184,12 @@ def _seeded_rng(key: str) -> random.Random:
 
 
 def _check_candidate_claim(spec: SearchSpec, points: Sequence[IntPoint], rng: random.Random | None) -> ClaimReport:
-    a = PointSet.of(spec.d, points)
+    a = _from_integers(spec.d, 1, points)
     b = None
     l = None
     if spec.claim in _NEEDS_B:
         size = rng.randint(1, spec.n)
-        b = PointSet.of(spec.d, _sample_points(rng, spec.box, size))
+        b = _from_integers(spec.d, 1, _sample_points(rng, spec.box, size))
     if spec.claim in _NEEDS_L:
         l = _random_direction(rng, spec.d)
     return check_claim(spec.claim, a, b, l, as_conjecture=spec.as_conjecture)
@@ -325,7 +325,7 @@ def random_probe(spec: SearchSpec) -> SearchResult:
         if value == best:
             witnesses.add(canonical_form(pts, uniform))
         if spec.claim is not None:
-            report = _check_candidate_claim(spec, sorted(pts), rng)
+            report = _check_candidate_claim(spec, pts, rng)
             if report.verdict == COUNTEREXAMPLE:
                 violations.append(report)
     return _search_result(spec, best, witnesses, examined, violations)

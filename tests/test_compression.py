@@ -17,7 +17,6 @@ from sumlab import (
     reduce,
     sumset,
 )
-from sumlab.compression import TraceStep
 from sumlab.incidence import project_along
 from sumlab.verify import random_compression_instance, random_reduce_instance, reduce_properties_hold
 from conftest import oracle_pair_sum_count, pset
@@ -120,8 +119,8 @@ def test_reduce_properties_randomized():
         assert reduce_properties_hold(a, b, l) == []
 
 
-def test_reduce_inverts_at_most_two_matrices(monkeypatch):
-    # AffineMap keeps the inverse its invertibility check computes, so .inverse adds none
+def test_reduce_inverts_exactly_one_matrix(monkeypatch):
+    # AffineMap tests invertibility by rank and inverts only in .inverse, which reduce asks for once
     import sumlab.pointset
 
     real = sumlab.pointset.invert_matrix
@@ -129,8 +128,10 @@ def test_reduce_inverts_at_most_two_matrices(monkeypatch):
     monkeypatch.setattr(sumlab.pointset, "invert_matrix", lambda mat: calls.append(mat) or real(mat))
     a = pset(3, [(0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 2), (2, 1, 1)])
     a2, _, trace = reduce(a, pset(3, [(0, 0, 0), (1, 2, 3)]), Direction.of((0, 0, 1)))
-    assert 1 <= len(calls) <= 2
+    assert len(calls) == 1
     assert len(a2) == len(a)
+    assert CompressionTrace.from_json(trace.to_json()) == trace
+    assert len(calls) == 1
     assert trace.initial_affine.inverse.inverse == trace.initial_affine
 
 
@@ -257,9 +258,10 @@ def test_trace_from_json_rejects_defect(defect):
 
 def test_trace_step_rejects_points_of_another_dimension():
     # replay trusts a step's images to be points of its dimension
-    spec = CompressionSpec(H_Y0, E2)
-    with pytest.raises(ValueError, match="a trace step of dimension 2 maps a point of another length"):
-        TraceStep(spec, (((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0), Fraction(0))),))
+    blob = _corner_trace_json()
+    blob["steps"][0]["map"][0][1] = ["0", "0", "0"]
+    with pytest.raises(ValueError, match="point of length 3 in ambient dimension 2"):
+        CompressionTrace.from_json(blob)
 
 
 def _step_json(d):

@@ -17,7 +17,10 @@ rational and mixed int/Fraction entries. `compress` (image and point map)
 and `apply_affine` range over d = 1..4 with integer, rational and mixed
 points, rational offsets and translations, |n.v| up to 16 (anchors with a
 denominator neither the points nor the offset have), lines of one point and
-lines of several. Every kernel that builds a set is checked to give the set
+lines of several. `AffineMap` ranges over invertible integer, rational and
+mixed maps in d = 1..4: it has the least scale, its Fraction views give it
+back, it is the inverse of its inverse, the inverse undoes its image, and
+making the last row a combination of the others makes it singular. Every kernel that builds a set is checked to give the set
 that `PointSet.of` gives on its points, with the least scale, over d = 1..4
 and integer, rational and mixed operands, including results whose
 denominator shrinks.
@@ -403,6 +406,26 @@ def test_apply_affine_matches_oracle(case):
     image = apply_affine(PointSet.of(d, pts), AffineMap.of(matrix, translation))
     assert image.points == oracle_apply_affine(pts, matrix, translation)
     assert _is_exact(image)
+
+
+@PROPERTY
+@given(affine_cases(), st.lists(_coords((1, 2, 3)), min_size=3, max_size=3))
+def test_affine_map_has_the_least_scale_and_inverts(case, coefficients):
+    d, pts, matrix, translation = case
+    m = AffineMap.of(matrix, translation)
+    assert m.scale == lcm(*(c.denominator for row in (*matrix, translation) for c in row))
+    assert m.rows == tuple(tuple(c * m.scale for c in row) for row in matrix)
+    assert m.shift == tuple(c * m.scale for c in translation)
+    # built from its own Fraction views the map compares and hashes equal
+    again = AffineMap.of(m.matrix, m.translation)
+    assert m == again and hash(m) == hash(again)
+    assert m.inverse.inverse == m
+    a = PointSet.of(d, pts)
+    assert apply_affine(apply_affine(a, m), m.inverse) == a
+    # a last row that is a rational combination of the others (zero for d = 1) makes the matrix singular
+    last = [sum((k * row[j] for k, row in zip(coefficients, matrix[:-1])), Fraction(0)) for j in range(d)]
+    with pytest.raises(ValueError, match="singular matrix"):
+        AffineMap.of([*matrix[:-1], last], translation)
 
 
 @st.composite

@@ -202,3 +202,21 @@ def test_raw_constructor_rejects_repeated_unsorted_and_misshapen_points():
         PointSet(2, ((0, True),))
     assert len(PointSet(2, ((1, 2), (3, 4)))) == 2
     assert len(PointSet(2, ())) == 0
+
+
+@pytest.mark.parametrize(
+    "matrix, translation, message",
+    [
+        (((True,),), (False,), "bool entry True rejected"),
+        (((1,),), (False,), "bool entry False rejected"),
+        (((Fraction(1, 2),),), (0.25,), r"float entry 0\.25 rejected"),
+        (((0.5,),), (0,), r"float entry 0\.5 rejected"),
+        ((("1",),), (0,), r"str entry '1' rejected"),
+        (((1, 0), (0, 1)), (0, "1/2"), r"str entry '1/2' rejected"),
+    ],
+)
+def test_raw_affine_map_rejects_entries_other_than_int_and_fraction(matrix, translation, message):
+    # the map is stored over its least common denominator, which only int and Fraction entries have
+    with pytest.raises(ValueError, match=message):
+        AffineMap(matrix, translation)
+
