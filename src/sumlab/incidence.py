@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .linalg import affine_basis, kernel_vector
 from .pointset import (
-    Point, PointSet, _coerce_coord, _from_integers, _json_fields, _scaled, coerce_point, format_rational,
+    Point, PointSet, _coerce_coord, _from_integers, _json_fields, _scaled, _unpack, coerce_point, format_rational,
 )
 
 
@@ -138,22 +138,35 @@ def min_line_cover(a: PointSet) -> tuple[Direction, int]:
     That is exact whenever the optimum is below |A|: an optimal line then
     carries two set points, so its direction is a pairwise difference.
 
-    The work is on the set's integer points (the points times a positive
-    scale, so no direction changes).  Each pair i < j is bucketed by
-    its primitive sign-canonical direction, and each bucket counts the points
-    j that have an earlier point on their line; along that direction the set
-    needs |A| minus that count lines.  This is O(|A|^2) integer work in all,
-    with no partition built.  Ties are broken toward the lexicographically
-    smallest direction vector.
+    The work is on the codes of the set's integer points under the balanced
+    radix of its own box (`PointSet._codes`): the code of q - p is
+    code(q) - code(p), and distinct differences have distinct codes.  For
+    each point q, the distinct
+    codes q - p over the earlier points p are formed as one set of ints.  The
+    points are in lexicographic order, so each such difference has a positive
+    first nonzero entry, and dividing it by the gcd g of its entries gives its
+    primitive direction, whose code is the difference's code divided by g.
+    That gcd is taken once per distinct difference code, not once per pair.
+    Each direction counts the points q that have an earlier point on their
+    line; along it the set needs |A| minus that count lines.  Codes of
+    directions order them lexicographically (`pointset._pack`), so ties go
+    to the lexicographically smallest direction vector.
     """
     n = len(a)
     if n < 2:
         raise ValueError("need at least two points")
-    joined: Counter[tuple[int, ...]] = Counter()
-    for j, q in enumerate(a.ints):
-        joined.update({_primitive_int(tuple(map(sub, q, p))) for p in a.ints[:j]})
-    vec, count = min(joined.items(), key=lambda item: (-item[1], item[0]))
-    return Direction(vec), n - count
+    lo, hi, ranges, codes = a._codes
+    point = dict(zip(codes, a.ints))
+    direction: dict[int, int] = {}  # difference code -> code of its primitive direction
+    joined: Counter[int] = Counter()
+    for j, (q, cq) in enumerate(zip(a.ints, codes)):
+        row = {cq - cp for cp in codes[:j]}
+        for c in row.difference(direction):
+            direction[c] = c // gcd(*map(sub, q, point[cq - c]))
+        joined.update({direction[c] for c in row})
+    code, count = min(joined.items(), key=lambda item: (-item[1], item[0]))
+    # a direction lies in the box of the differences, -(hi - lo) <= v <= hi - lo
+    return Direction(_unpack([code], list(map(sub, lo, hi)), ranges)[0]), n - count
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

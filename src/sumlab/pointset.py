@@ -2,8 +2,11 @@
 
 A set is stored as integer points over its least common denominator, so sums,
 differences, ranks and membership are exact integer work: no rounding can ever
-create or destroy a collision in a sumset.  Coordinates are read and written as
-`fractions.Fraction` values.
+create or destroy a collision in a sumset.  Pairwise sums and differences are
+counted on one int per point, a mixed-radix (Kronecker) code that is linear and
+one-to-one on the vectors involved (`_pack`), so a sum of two points
+is one int addition and only the distinct results are decoded back to points.
+Coordinates are read and written as `fractions.Fraction` values.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import add, ge, mul, sub
+from operator import ge, mul
 from typing import Iterable, Sequence
 
 from .linalg import affine_rank, greedy_basis, invert_matrix
@@ -129,6 +132,17 @@ class PointSet:
     def _members(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.ints)
 
+    @cached_property
+    def _codes(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """(lo, hi, ranges, codes): the set's box lo <= p <= hi, the balanced radix
+        ranges[i] = 2 (hi_i - lo_i) + 1 and each integer point's code under it (`_pack`).
+        Two sums, or two differences, of the set's points differ by at most 2 (hi_i - lo_i)
+        on axis i, so `_pairwise` counts the set with itself on these codes, and
+        `min_line_cover` reads the difference of two points off the difference of their codes."""
+        lo, hi = _box(self.ints)
+        ranges = [2 * (h - l) + 1 for l, h in zip(lo, hi)]
+        return lo, hi, ranges, _pack(self.ints, ranges)
+
     def __len__(self) -> int:
         return len(self.ints)
 
@@ -176,35 +190,102 @@ def _from_integers(dim: int, scale: int, points: Iterable[tuple[int, ...]]) -> P
     return out
 
 
-def _pairwise(a: PointSet, b: PointSet, op) -> tuple[int, set[tuple[int, ...]]]:
-    """(scale, the distinct op(p, q) for p in a, q in b, as integer points over scale)."""
+def _box(points: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """(lo, hi): the least and the largest coordinate of the points on each axis."""
+    cols = list(zip(*points))
+    return list(map(min, cols)), list(map(max, cols))
+
+
+def _pack(points: Sequence[Sequence[int]], ranges: Sequence[int]) -> list[int]:
+    """The code of each integer point p in the mixed radix whose digit i takes ranges[i]
+    values: w . p with w[d-1] = 1 and w[i] = w[i+1] * ranges[i+1], by Horner's rule.
+
+    The code is linear, and it is one-to-one on the vectors v with |v_i| < ranges[i] on every
+    axis: if v is nonzero with first nonzero entry v_i, then |w_i v_i| >= w_i, while
+    |sum_{j>i} w_j v_j| <= sum_{j>i} w_j (ranges[j] - 1) = w_i - 1, the sum telescoping.  By
+    the same bound, when |u_i - v_i| < ranges[i] on every axis, u precedes v lexicographically
+    exactly when the code of u is less than the code of v.
+    """
+    codes = [0] * len(points)
+    for col, r in zip(zip(*points), ranges):
+        codes = [c * r + x for c, x in zip(codes, col)]
+    return codes
+
+
+def _unpack(codes: Sequence[int], lo: Sequence[int], ranges: Sequence[int]) -> list[tuple[int, ...]]:
+    """The integer points with the given codes under `_pack` with these ranges, each point p
+    lying in the box lo_i <= p_i < lo_i + ranges[i]; codes in increasing order give points in
+    lexicographic order.  The last coordinate x of the point with code c is the one value in
+    its range of the box congruent to c modulo its range r, and (c - x) / r is the code of the
+    point's other coordinates."""
+    rest = codes
+    cols = []
+    for r, low in zip(ranges[:0:-1], lo[:0:-1]):
+        col = [(c - low) % r + low for c in rest]
+        cols.append(col)
+        rest = [(c - x) // r for c, x in zip(rest, col)]
+    cols.append(rest)
+    return list(zip(*reversed(cols)))
+
+
+def _pairwise(a: PointSet, b: PointSet, sign: int) -> tuple[int, set[int], list[int], list[int]]:
+    """(scale, codes, lo, ranges): the distinct p + sign * q for p in a, q in b, which are
+    integer points over scale in the box lo + [0, ranges), as their codes under `_pack`.
+
+    Over the common scale (the lcm of the two), a's points lie in a box [la, ha] and b's in
+    [lb, hb], so every p + q lies in [la + lb, ha + hb] and every p - q in [la - hb, ha - lb].
+    Two results of one sign thus differ by less than ranges[i] = (ha_i - la_i) +
+    (hb_i - lb_i) + 1 on axis i.  The code is one-to-one on such differences (`_pack`), so
+    distinct results have distinct codes, and it is linear, so the code of p + sign * q is
+    code(p) + sign * code(q): each operand is encoded once and each pair costs one int
+    addition.  A set with itself reuses its cached `_codes`, whose ranges are these.
+    """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if not a.ints or not b.ints:
         raise ValueError("set arithmetic requires nonempty operands")
-    scale = lcm(a.scale, b.scale)
-    pa, pb = ([tuple([c * (scale // x.scale) for c in p]) for p in x.ints] for x in (a, b))
-    return scale, {tuple(map(op, p, q)) for p in pa for q in pb}
+    if a is b:
+        la, ha, ranges, ca = a._codes
+        scale, ma, mb, lb, hb, cb = a.scale, 1, 1, la, ha, ca
+    else:
+        # a's points times ma and b's times mb are integer points over the common scale
+        scale = lcm(a.scale, b.scale)
+        ma, mb = scale // a.scale, scale // b.scale
+        (la, ha), (lb, hb) = _box(a.ints), _box(b.ints)
+        ranges = [ma * (h - l) + mb * (k - j) + 1 for l, h, j, k in zip(la, ha, lb, hb)]
+        ca, cb = (_pack(x.ints, ranges) for x in (a, b))
+        if ma > 1:
+            ca = [ma * c for c in ca]
+        if mb > 1:
+            cb = [mb * c for c in cb]
+    if sign > 0:
+        return scale, {x + y for x in ca for y in cb}, [ma * l + mb * j for l, j in zip(la, lb)], ranges
+    return scale, {x - y for x in ca for y in cb}, [ma * l - mb * k for l, k in zip(la, hb)], ranges
+
+
+def _pair_set(a: PointSet, b: PointSet, sign: int) -> PointSet:
+    scale, codes, lo, ranges = _pairwise(a, b, sign)
+    return _from_integers(a.dim, scale, _unpack(sorted(codes), lo, ranges))
 
 
 def sumset(a: PointSet, b: PointSet) -> PointSet:
-    """All pairwise sums a + b, deduplicated exactly (in integers over one denominator)."""
-    return _from_integers(a.dim, *_pairwise(a, b, add))
+    """All pairwise sums a + b, deduplicated exactly (on integer codes over one denominator)."""
+    return _pair_set(a, b, 1)
 
 
 def difference_set(a: PointSet, b: PointSet) -> PointSet:
-    """All pairwise differences a - b, deduplicated exactly (in integers over one denominator)."""
-    return _from_integers(a.dim, *_pairwise(a, b, sub))
+    """All pairwise differences a - b, deduplicated exactly (on integer codes over one denominator)."""
+    return _pair_set(a, b, -1)
 
 
 def sumset_count(a: PointSet, b: PointSet) -> int:
-    """|A + B|, counted on integer tuples over one denominator without building the set."""
-    return len(_pairwise(a, b, add)[1])
+    """|A + B|, counted on integer codes over one denominator without building the set."""
+    return len(_pairwise(a, b, 1)[1])
 
 
 def difference_count(a: PointSet, b: PointSet) -> int:
-    """|A - B|, counted on integer tuples over one denominator without building the set."""
-    return len(_pairwise(a, b, sub)[1])
+    """|A - B|, counted on integer codes over one denominator without building the set."""
+    return len(_pairwise(a, b, -1)[1])
 
 
 def affine_dimension(a: PointSet) -> int:

@@ -42,7 +42,7 @@ from ._version import __version__
 from .bounds import COUNTEREXAMPLE, ClaimReport, check_claim, CLAIM_IDS, _NEEDS_B, _NEEDS_D2, _NEEDS_L, _PLANAR
 from .incidence import Direction
 from .linalg import affine_rank
-from .pointset import PointSet, _from_integers, difference_count
+from .pointset import PointSet, _from_integers, _pack, difference_count
 
 IntPoint = tuple[int, ...]
 
@@ -156,24 +156,10 @@ def canonical_form(points: Iterable[IntPoint], allow_permutations: bool = True) 
     return min(tuple(sorted(tuple(p[i] for i in perm) for p in shifted)) for perm in perms)
 
 
-def _pack(points: Sequence[IntPoint], spans: Sequence[int]) -> list[int]:
-    """Each point p as the integer w·p (Kronecker substitution).
-
-    The weights are w[d-1] = 1 and w[i] = w[i+1]·(2·spans[i+1] + 1).  The map
-    is linear, so code(p) - code(q) = code(p - q), and it is one-to-one on
-    vectors δ with |δ_i| <= spans[i] for every i (a balanced mixed radix).
-    Differences of points whose i-th coordinates lie within spans[i] of each
-    other therefore count exactly as packed integers.
-    """
-    weights = [1]
-    for m in reversed(spans[1:]):
-        weights.append(weights[-1] * (2 * m + 1))
-    weights.reverse()
-    return [sum(c * w for c, w in zip(p, weights)) for p in points]
-
-
 def diff_count(points: Sequence[IntPoint]) -> int:
-    codes = _pack(points, [max(col) - min(col) for col in zip(*points)])
+    """|A - A| for integer points, counted on their codes under the balanced radix
+    2 * span + 1 of each axis's span, on which distinct differences have distinct codes."""
+    codes = _pack(points, [2 * (max(col) - min(col)) + 1 for col in zip(*points)])
     return len({p - q for p in codes for q in codes})
 
 
@@ -231,7 +217,8 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
     if spec.claim is not None and (spec.claim in _NEEDS_B or spec.claim in _NEEDS_L):
         raise ValueError(f"claim {spec.claim} needs operands exhaustive mode does not generate")
     points = lattice_points(spec.box)
-    codes = _pack(points, spec.box)
+    # differences of box points have |δ_i| <= box[i], so distinct ones have distinct codes
+    codes = _pack(points, [2 * m + 1 for m in spec.box])
     total = len(points)
     top = codes[-1]
     uniform = len(set(spec.box)) == 1
@@ -285,11 +272,11 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
 
 def _search_result(spec: SearchSpec, best: int, witnesses: set, examined: int, violations: list) -> SearchResult:
     """The result with the first WITNESS_CAP witnesses, each re-checked to attain best."""
-    witness_sets = tuple(PointSet.of(spec.d, w) for w in sorted(witnesses)[:WITNESS_CAP])
+    witness_sets = tuple(_from_integers(spec.d, 1, w) for w in sorted(witnesses)[:WITNESS_CAP])
     for w in witness_sets:
         if difference_count(w, w) != best:
             raise RuntimeError(f"witness {w.to_json()} does not have |W - W| = {best}")
-        if spec.require_full_dim and affine_rank(w.points) != spec.d:
+        if spec.require_full_dim and affine_rank(w.ints) != spec.d:
             raise RuntimeError(f"witness {w.to_json()} does not span dimension {spec.d}")
     return SearchResult(spec, best, witness_sets, examined, tuple(violations))
 

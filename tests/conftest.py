@@ -49,14 +49,14 @@ def _canonical_direction(vec) -> tuple[int, ...]:
 def oracle_min_line_cover(points) -> tuple[tuple[int, ...], int]:
     """(direction vector, line count) of a minimal parallel-line cover, by brute force.
 
-    Tries the direction of every pair of distinct points and counts lines by
-    the exact Fraction projection onto the direction's orthogonal complement;
-    ties go to the smallest primitive, sign-canonical direction vector.
+    Tries the direction of every pair of distinct points, each distinct direction
+    once, and counts lines by the exact Fraction projection onto the direction's
+    orthogonal complement; ties go to the smallest primitive, sign-canonical
+    direction vector.
     """
     pts = sorted({tuple(Fraction(c) for c in p) for p in points})
     best = None
-    for p, q in itertools.combinations(pts, 2):
-        vec = _canonical_direction([y - x for x, y in zip(p, q)])
+    for vec in {_canonical_direction([y - x for x, y in zip(p, q)]) for p, q in itertools.combinations(pts, 2)}:
         norm = sum(x * x for x in vec)
         lines = set()
         for r in pts:

@@ -23,9 +23,15 @@ back, it is the inverse of its inverse, the inverse undoes its image, and
 making the last row a combination of the others makes it singular. Every kernel that builds a set is checked to give the set
 that `PointSet.of` gives on its points, with the least scale, over d = 1..4
 and integer, rational and mixed operands, including results whose
-denominator shrinks.
+denominator shrinks. The packed-code kernels (the counts, `sumset`,
+`difference_set` and `min_line_cover`) also range over parallel arithmetic
+progressions of up to 40 points, where most differences repeat, and over
+coordinates up to 10^15 in size with denominators up to 10^6; the code
+itself is checked to be one-to-one and inverted by decoding in d = 1..4,
+with zero-span axes and negative coordinates.
 """
 
+import itertools
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -56,7 +62,7 @@ from sumlab import (
 )
 from sumlab.compression import TraceStep
 from sumlab.linalg import invert_matrix, kernel_vector
-from sumlab.pointset import difference_count, sumset_count
+from sumlab.pointset import _pack, _unpack, difference_count, sumset_count
 from sumlab.search import diff_count
 from conftest import (
     _fraction_rref,
@@ -173,6 +179,85 @@ def test_min_line_cover_matches_oracle(case):
     d, pts = case
     direction, count = min_line_cover(PointSet.of(d, pts))
     assert (direction.vec, count) == oracle_min_line_cover(pts)
+
+
+@st.composite
+def ap_sets(draw):
+    """(d, points): up to five parallel arithmetic progressions with one step, up to 40 points
+    in d = 1..4, integer or over a denominator of 2 or 3, so that most differences repeat."""
+    d = draw(st.integers(1, 4))
+    den = draw(st.sampled_from((1, 1, 2, 3)))
+    step = draw(st.tuples(*[st.integers(-3, 3)] * d).filter(any))
+    starts = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=1, max_size=5, unique=True))
+    length = draw(st.integers(1, 40 // len(starts)))
+    pts = {tuple(Fraction(s + k * x, den) for s, x in zip(start, step)) for start in starts for k in range(length)}
+    return d, sorted(pts)
+
+
+@st.composite
+def wide_sets(draw):
+    """(d, points): 1 to 8 points in d = 1..4 with numerators up to 10^15 in size and
+    denominators up to 10^6, each axis integer, rational or held at one value."""
+    d = draw(st.integers(1, 4))
+    axes = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(("integer", "rational", "held")))
+        big = st.integers(-(10**15), 10**15)
+        if kind == "held":
+            axes.append(st.just(draw(st.builds(Fraction, big, st.integers(1, 10**6)))))
+        else:
+            axes.append(st.builds(Fraction, big, st.integers(1, 10**6) if kind == "rational" else st.just(1)))
+    return d, draw(st.lists(st.tuples(*axes), min_size=1, max_size=8, unique=True))
+
+
+def _check_packed_kernels(first, second):
+    """The counts and sets of A + B, A - B, A + A and A - A, and the line cover of A, against the
+    oracles; B is the second set cut or padded with zeros to the first one's dimension."""
+    (d, pa), (_, pb) = first, second
+    pb = sorted({(*p[:d], *[Fraction(0)] * (d - len(p))) for p in pb})
+    a, b = PointSet.of(d, pa), PointSet.of(d, pb)
+    assert sumset(a, b).points == oracle_pair_sums(pa, pb)
+    assert difference_set(a, b).points == oracle_pair_diffs(pa, pb)
+    assert sumset(a, a).points == oracle_pair_sums(pa, pa)
+    assert difference_set(a, a).points == oracle_pair_diffs(pa, pa)
+    assert sumset_count(a, b) == oracle_pair_sum_count(pa, pb)
+    assert difference_count(a, b) == len(oracle_pair_diffs(pa, pb))
+    assert sumset_count(a, a) == oracle_sum_count(pa)
+    assert difference_count(a, a) == oracle_diff_count(pa)
+    if len(pa) >= 2:
+        direction, count = min_line_cover(a)
+        assert (direction.vec, count) == oracle_min_line_cover(pa)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ap_sets(), ap_sets())
+def test_packed_kernels_on_progressions_match_oracles(first, second):
+    _check_packed_kernels(first, second)
+
+
+@PROPERTY
+@given(wide_sets(), wide_sets())
+def test_packed_kernels_on_wide_coordinates_match_oracles(first, second):
+    _check_packed_kernels(first, second)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_code_is_one_to_one_and_decoding_inverts_it(d):
+    # a box with negative corners and, from d = 2 on, a zero-span axis (one value, range 1)
+    lo = [-3, 5, -1, 0][:d]
+    ranges = [4, 1, 3, 2][:d]
+    box = list(itertools.product(*(range(l, l + r) for l, r in zip(lo, ranges))))
+    codes = _pack(box, ranges)
+    assert len(set(codes)) == len(box)
+    assert codes == sorted(codes)  # lexicographic order is code order
+    assert _unpack(codes, lo, ranges) == box
+    # the balanced radix 2 * span + 1 of the same box: distinct differences of its points get distinct codes
+    spans = [r - 1 for r in ranges]
+    balanced = [2 * s + 1 for s in spans]
+    diffs = sorted({tuple(x - y for x, y in zip(p, q)) for p in box for q in box})
+    codes = _pack(diffs, balanced)
+    assert len(set(codes)) == len(diffs) and codes == sorted(codes)
+    assert _unpack(codes, [-s for s in spans], balanced) == diffs
 
 
 @st.composite
