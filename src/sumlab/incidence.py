@@ -11,7 +11,8 @@ from typing import Sequence
 
 from .linalg import affine_basis, kernel_vector
 from .pointset import (
-    Point, PointSet, _coerce_coord, _from_integers, _json_fields, _scaled, _unpack, coerce_point, format_rational,
+    Point, PointSet, _balanced, _coerce_coord, _from_integers, _json_fields, _pack, _scaled, _unpack, coerce_point,
+    format_rational,
 )
 
 
@@ -139,13 +140,13 @@ def min_line_cover(a: PointSet) -> tuple[Direction, int]:
     carries two set points, so its direction is a pairwise difference.
 
     The work is on the codes of the set's integer points under the balanced
-    radix of its own box (`PointSet._codes`): the code of q - p is
+    radix of its own box (`pointset._balanced`): the code of q - p is
     code(q) - code(p), and distinct differences have distinct codes.  For
-    each point q, the distinct
-    codes q - p over the earlier points p are formed as one set of ints.  The
-    points are in lexicographic order, so each such difference has a positive
-    first nonzero entry, and dividing it by the gcd g of its entries gives its
-    primitive direction, whose code is the difference's code divided by g.
+    each point q, the distinct codes q - p over the earlier points p are
+    formed as one set of ints.  The points are in lexicographic order, so
+    each such difference has a positive first nonzero entry, and dividing it
+    by the gcd g of its entries gives its primitive direction, whose code is
+    the difference's code divided by g.
     That gcd is taken once per distinct difference code, not once per pair.
     Each direction counts the points q that have an earlier point on their
     line; along it the set needs |A| minus that count lines.  Codes of
@@ -155,7 +156,8 @@ def min_line_cover(a: PointSet) -> tuple[Direction, int]:
     n = len(a)
     if n < 2:
         raise ValueError("need at least two points")
-    lo, hi, ranges, codes = a._codes
+    lo, hi, ranges = _balanced(a.ints)
+    codes = _pack(a.ints, ranges)
     point = dict(zip(codes, a.ints))
     direction: dict[int, int] = {}  # difference code -> code of its primitive direction
     joined: Counter[int] = Counter()

@@ -132,17 +132,6 @@ class PointSet:
     def _members(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.ints)
 
-    @cached_property
-    def _codes(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """(lo, hi, ranges, codes): the set's box lo <= p <= hi, the balanced radix
-        ranges[i] = 2 (hi_i - lo_i) + 1 and each integer point's code under it (`_pack`).
-        Two sums, or two differences, of the set's points differ by at most 2 (hi_i - lo_i)
-        on axis i, so `_pairwise` counts the set with itself on these codes, and
-        `min_line_cover` reads the difference of two points off the difference of their codes."""
-        lo, hi = _box(self.ints)
-        ranges = [2 * (h - l) + 1 for l, h in zip(lo, hi)]
-        return lo, hi, ranges, _pack(self.ints, ranges)
-
     def __len__(self) -> int:
         return len(self.ints)
 
@@ -196,6 +185,14 @@ def _box(points: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     return list(map(min, cols)), list(map(max, cols))
 
 
+def _balanced(points: Sequence[Sequence[int]]) -> tuple[list[int], list[int], list[int]]:
+    """(lo, hi, ranges): the points' box lo <= p <= hi and the balanced radix
+    ranges[i] = 2 (hi_i - lo_i) + 1.  Two differences of the points differ by at most
+    2 (hi_i - lo_i) on axis i, so distinct differences have distinct codes under it (`_pack`)."""
+    lo, hi = _box(points)
+    return lo, hi, [2 * (h - l) + 1 for l, h in zip(lo, hi)]
+
+
 def _pack(points: Sequence[Sequence[int]], ranges: Sequence[int]) -> list[int]:
     """The code of each integer point p in the mixed radix whose digit i takes ranges[i]
     values: w . p with w[d-1] = 1 and w[i] = w[i+1] * ranges[i+1], by Horner's rule.
@@ -238,26 +235,19 @@ def _pairwise(a: PointSet, b: PointSet, sign: int) -> tuple[int, set[int], list[
     (hb_i - lb_i) + 1 on axis i.  The code is one-to-one on such differences (`_pack`), so
     distinct results have distinct codes, and it is linear, so the code of p + sign * q is
     code(p) + sign * code(q): each operand is encoded once and each pair costs one int
-    addition.  A set with itself reuses its cached `_codes`, whose ranges are these.
+    addition.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if not a.ints or not b.ints:
         raise ValueError("set arithmetic requires nonempty operands")
-    if a is b:
-        la, ha, ranges, ca = a._codes
-        scale, ma, mb, lb, hb, cb = a.scale, 1, 1, la, ha, ca
-    else:
-        # a's points times ma and b's times mb are integer points over the common scale
-        scale = lcm(a.scale, b.scale)
-        ma, mb = scale // a.scale, scale // b.scale
-        (la, ha), (lb, hb) = _box(a.ints), _box(b.ints)
-        ranges = [ma * (h - l) + mb * (k - j) + 1 for l, h, j, k in zip(la, ha, lb, hb)]
-        ca, cb = (_pack(x.ints, ranges) for x in (a, b))
-        if ma > 1:
-            ca = [ma * c for c in ca]
-        if mb > 1:
-            cb = [mb * c for c in cb]
+    # a's points times ma and b's times mb are integer points over the common scale
+    scale = lcm(a.scale, b.scale)
+    ma, mb = scale // a.scale, scale // b.scale
+    (la, ha), (lb, hb) = _box(a.ints), _box(b.ints)
+    ranges = [ma * (h - l) + mb * (k - j) + 1 for l, h, j, k in zip(la, ha, lb, hb)]
+    ca = [ma * c for c in _pack(a.ints, ranges)]
+    cb = [mb * c for c in _pack(b.ints, ranges)]
     if sign > 0:
         return scale, {x + y for x in ca for y in cb}, [ma * l + mb * j for l, j in zip(la, lb)], ranges
     return scale, {x - y for x in ca for y in cb}, [ma * l - mb * k for l, k in zip(la, hb)], ranges

@@ -42,7 +42,7 @@ from ._version import __version__
 from .bounds import COUNTEREXAMPLE, ClaimReport, check_claim, CLAIM_IDS, _NEEDS_B, _NEEDS_D2, _NEEDS_L, _PLANAR
 from .incidence import Direction
 from .linalg import affine_rank
-from .pointset import PointSet, _from_integers, _pack, difference_count
+from .pointset import PointSet, _balanced, _from_integers, _pack, difference_count
 
 IntPoint = tuple[int, ...]
 
@@ -157,9 +157,9 @@ def canonical_form(points: Iterable[IntPoint], allow_permutations: bool = True) 
 
 
 def diff_count(points: Sequence[IntPoint]) -> int:
-    """|A - A| for integer points, counted on their codes under the balanced radix
-    2 * span + 1 of each axis's span, on which distinct differences have distinct codes."""
-    codes = _pack(points, [2 * (max(col) - min(col)) + 1 for col in zip(*points)])
+    """|A - A| for integer points, counted on their codes under their balanced radix
+    (`pointset._balanced`), on which distinct differences have distinct codes."""
+    codes = _pack(points, _balanced(points)[2])
     return len({p - q for p in codes for q in codes})
 
 
