@@ -97,9 +97,8 @@ def bound_value(claim: str, **params) -> Fraction:
     Parameters by name: d (dimension), n (|A|), m (|B|), r1, r2 (line counts),
     a1 (|A_1|), eps and c_d (the two user-supplied constants of LINES_4D).
     For the sqrt-threshold claims ASYM_THM and LEMMA_BASE_2D the returned
-    value is the rational part only; the full strict comparison lives in
-    below_sqrt_threshold (the subtracted radical is 2^(d+1)*sqrt(n), resp.
-    5*sqrt(n)).
+    value is the rational part only; the full strict comparison, which
+    subtracts `_radical_coefficient` * sqrt(n), lives in below_sqrt_threshold.
     """
     if claim not in CLAIM_IDS:
         raise ValueError(f"unknown claim {claim!r}")
@@ -138,6 +137,14 @@ def bound_value(claim: str, **params) -> Fraction:
             return (2 * d - 2 + Fraction(1, d - 1) + Fraction(p["eps"])) * n - Fraction(p["c_d"])
         return (2 * d - 2 + Fraction(1, d - 1)) * n - (2 * d * d - 4 * d + 3)
     raise AssertionError(claim)
+
+
+def _radical_coefficient(claim: str, d: int | None) -> int | None:
+    """c in the radical c*sqrt(n) that a sqrt-threshold claim subtracts from its bound, in dimension d; None
+    for a claim without one."""
+    if claim == "ASYM_THM":
+        return 2 ** (d + 1)
+    return 5 if claim == "LEMMA_BASE_2D" else None
 
 
 _NEEDS_B = {"RUZSA_ASYM", "GS_LINES", "LEMMA_BASE_2D", "ASYM_THM"}
@@ -220,7 +227,7 @@ def check_claim(
         assert b is not None and l is not None
         r1 = line_partition(a, l).count
         hyp = len(a) >= len(b) and below_sqrt_threshold(
-            sumset_count(a, b), bound_value(claim, n=n, m=len(b)), 5, n
+            sumset_count(a, b), bound_value(claim, n=n, m=len(b)), _radical_coefficient(claim, d), n
         )
         lhs = Fraction(r1)
         rhs = Fraction(n, 4)
@@ -229,7 +236,7 @@ def check_claim(
         assert b is not None and l is not None
         r = line_partition(a, l).count
         hyp = full_dim and len(a) >= len(b) and below_sqrt_threshold(
-            sumset_count(a, b), bound_value(claim, d=d, n=n, m=len(b)), 2 ** (d + 1), n
+            sumset_count(a, b), bound_value(claim, d=d, n=n, m=len(b)), _radical_coefficient(claim, d), n
         )
         lhs = Fraction(r)
         rhs = Fraction(n, 4)
@@ -250,7 +257,7 @@ def check_claim(
         concl = lhs >= rhs
     elif claim == "TWOPLANES_1":
         assert l is not None
-        hyp, a1_size = _twoplanes_hypothesis(a, l)
+        hyp, a1_size = _twoplanes_hypothesis(a, l, full_dim)
         lhs = Fraction(difference_count(a, a))
         rhs = bound_value(claim, d=d, n=n, a1=a1_size)
         concl = lhs >= rhs
@@ -279,13 +286,13 @@ def _verdict(hypothesis: bool, conclusion: bool, guarded: bool) -> str:
     return BELOW_GUARANTEED_SIZE if guarded else COUNTEREXAMPLE
 
 
-def _twoplanes_hypothesis(a: PointSet, l: Direction) -> tuple[bool, int]:
-    """r = 2 slabs for the major hyperplane, dim(A_1) = d - 1, covered by d - 1 lines.
+def _twoplanes_hypothesis(a: PointSet, l: Direction, full_dim: bool) -> tuple[bool, int]:
+    """A full-dimensional (full_dim), r = 2 slabs for the major hyperplane, dim(A_1) = d - 1, d - 1 lines cover A_1.
 
     The major slice is recomputed here rather than trusted from the caller.
     """
     d = a.dim
-    if affine_dimension(a) != d:
+    if not full_dim:
         return False, 0
     try:
         h = major_hyperplane(a, l)

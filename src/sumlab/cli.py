@@ -16,6 +16,7 @@ from ._version import __version__
 from .bounds import (
     CLAIM_IDS,
     COUNTEREXAMPLE,
+    _radical_coefficient,
     asym_error_constant,
     bound_value,
     check_claim,
@@ -236,7 +237,7 @@ def _cmd_reduce(args, hashes) -> tuple[dict, int]:
     if args.denormalize and trace.initial_affine is not None:
         inverse = trace.initial_affine.inverse
         report_a = apply_affine(a2, inverse)
-        report_b = apply_affine(b2, inverse) if b2.points else b2
+        report_b = apply_affine(b2, inverse)
     report = {
         "a": report_a.to_json(),
         "b": report_b.to_json(),
@@ -278,10 +279,10 @@ def _cmd_bounds(args, hashes) -> tuple[dict, int]:
         "params": {k: str(v) for k, v in params.items() if v is not None},
         "value": str(value),
     }
-    if args.claim == "LEMMA_BASE_2D":
-        report["subtracted_radical"] = {"coefficient": "5", "sqrt_of": "n"}
+    coefficient = _radical_coefficient(args.claim, args.d)
+    if coefficient is not None:
+        report["subtracted_radical"] = {"coefficient": str(coefficient), "sqrt_of": "n"}
     if args.claim == "ASYM_THM":
-        report["subtracted_radical"] = {"coefficient": str(2 ** (args.d + 1)), "sqrt_of": "n"}
         report["error_constant"] = str(asym_error_constant(args.d))
     report["meta"] = _provenance(hashes)
     return report, 0

@@ -18,7 +18,7 @@ from .incidence import Direction, Hyperplane, _dot, _shadow, _shadow_keys, line_
 from .linalg import affine_basis
 from .pointset import (
     AffineMap, Point, PointSet, _coerce_coord, _from_integers, _json_fields, _point, _scaled, affine_dimension,
-    apply_affine, parse_rational, unit,
+    apply_affine, parse_rational, sumset_count, unit,
 )
 
 
@@ -137,7 +137,7 @@ class CompressionTrace:
                 raise ValueError(f"trace step {i} has dimension {dim}, but the trace has dimension {want}")
 
     def apply_specs(self, x: PointSet) -> PointSet:
-        if self.initial_affine is not None and x.ints:
+        if self.initial_affine is not None:
             x = apply_affine(x, self.initial_affine)
         for step in self.steps:
             if not x.ints:
@@ -146,7 +146,7 @@ class CompressionTrace:
         return x
 
     def replay(self, x: PointSet) -> PointSet:
-        if self.initial_affine is not None and x.ints:
+        if self.initial_affine is not None:
             x = apply_affine(x, self.initial_affine)
         pts = x.points
         for step in self.steps:
@@ -263,7 +263,7 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
 
     transform = _normalizing_map(a, l)
     x = apply_affine(a, transform)
-    y = apply_affine(b, transform) if b.ints else b
+    y = apply_affine(b, transform)
     steps: list[TraceStep] = []
 
     def run(spec: CompressionSpec) -> None:
@@ -303,17 +303,42 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
     g = tuple(1 if i == 0 else (-run_top if i == d - 1 else 0) for i in range(d))
     run(CompressionSpec(slab_plane, Direction.of(g)))
 
-    _assert_reduced(x, s, d)
+    if problems := _form_problems(x, s):
+        raise RuntimeError(f"reduction postcondition failed: {'; '.join(problems)}")
     return x, y, CompressionTrace(tuple(steps), transform)
 
 
-def _assert_reduced(x: PointSet, s: int, d: int) -> None:
-    """Raise unless x has s lines along e_d, spans Q^d and meets {x_1 != 0} only in e_1."""
+def _form_problems(x: PointSet, s: int) -> list[str]:
+    """The ways x fails the slab-plus-point form: s lines along e_d, affine dimension d and
+    {x_1 != 0} = {e_1}.  The texts are built only for a failure."""
+    d = x.dim
     part = line_partition(x, Direction.of(unit(d, d - 1)))
     dim = affine_dimension(x)
-    off_slab = [cls.points for key, cls in part.classes if key[0] != 0]
-    if part.count != s or dim != d or off_slab != [(unit(d, 0),)]:
-        raise RuntimeError(
-            f"reduction postcondition failed: {part.count} lines (want {s}), "
-            f"affine dimension {dim} (want {d}), off-slab lines {off_slab}"
-        )
+    off_slab = [p for key, cls in part.classes if key[0] != 0 for p in cls.points]
+    problems = []
+    if part.count != s:
+        problems.append(f"line count {part.count} != {s}")
+    if dim != d:
+        problems.append(f"affine dimension {dim} != {d}")
+    if off_slab != [unit(d, 0)]:
+        problems.append(f"off-slab points {[[str(c) for c in p] for p in off_slab]} != [e_1]")
+    return problems
+
+
+def reduce_properties_hold(a: PointSet, b: PointSet, l: Direction) -> list[str]:
+    """Run `reduce` and list the postconditions its result fails: cardinality, sumset
+    monotonicity, the slab-plus-point form (s taken from A's lines along l), `replay` and
+    `apply_specs`."""
+    s = line_partition(a, l).count
+    a2, b2, trace = reduce(a, b, l)
+    problems = []
+    if len(a2) != len(a) or len(b2) != len(b):
+        problems.append("cardinality")
+    if sumset_count(a2, b2) > sumset_count(a, b):
+        problems.append("sumset grew")
+    problems += _form_problems(a2, s)
+    if trace.replay(a) != a2:
+        problems.append("trace replay mismatch")
+    if trace.apply_specs(b) != b2:
+        problems.append("trace spec application mismatch")
+    return problems

@@ -35,14 +35,14 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Iterable, Sequence
 
 from ._version import __version__
 from .bounds import COUNTEREXAMPLE, ClaimReport, check_claim, CLAIM_IDS, _NEEDS_B, _NEEDS_D2, _NEEDS_L, _PLANAR
 from .incidence import Direction
 from .linalg import affine_rank
-from .pointset import PointSet, _balanced, _from_integers, _pack, difference_count
+from .pointset import PointSet, _balanced, _from_integers, _pack, _unpack, difference_count
 
 IntPoint = tuple[int, ...]
 
@@ -94,10 +94,7 @@ class SearchSpec:
             raise BudgetExceededError(self.candidate_count(), self.budget)
 
     def volume(self) -> int:
-        v = 1
-        for m in self.box:
-            v *= m + 1
-        return v
+        return prod(m + 1 for m in self.box)
 
     def candidate_count(self) -> int:
         return comb(self.volume(), self.n)
@@ -139,7 +136,10 @@ class SearchResult:
 
 
 def lattice_points(box: Sequence[int]) -> list[IntPoint]:
-    return sorted(itertools.product(*(range(m + 1) for m in box)))
+    """The points of the box in lexicographic order: the points with codes 0, 1, ... under
+    the radix m + 1 of each axis (`pointset._unpack`)."""
+    ranges = [m + 1 for m in box]
+    return _unpack(range(prod(ranges)), [0] * len(box), ranges)
 
 
 def canonical_form(points: Iterable[IntPoint], allow_permutations: bool = True) -> tuple[IntPoint, ...]:
@@ -182,19 +182,9 @@ def _check_candidate_claim(spec: SearchSpec, points: Sequence[IntPoint], rng: ra
 
 
 def _sample_points(rng: random.Random, box: Sequence[int], count: int) -> list[IntPoint]:
+    """count distinct box points, drawn as distinct codes of `lattice_points`."""
     ranges = [m + 1 for m in box]
-    volume = 1
-    for r in ranges:
-        volume *= r
-    indices = rng.sample(range(volume), count)
-    points = []
-    for idx in indices:
-        coords = []
-        for r in reversed(ranges):
-            idx, c = divmod(idx, r)
-            coords.append(c)
-        points.append(tuple(reversed(coords)))
-    return points
+    return _unpack(rng.sample(range(prod(ranges)), count), [0] * len(box), ranges)
 
 
 def _random_direction(rng: random.Random, d: int) -> Direction:

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 from ._version import __version__
 from .bounds import CONSISTENT, COUNTEREXAMPLE, bound_value, check_claim
-from .compression import CompressionSpec, compress_pair, reduce as reduce_lines
+from .compression import CompressionSpec, compress_pair, reduce as reduce_lines, reduce_properties_hold
 from .constructions import dlines_general_position, freiman_aps, stan_doubling_tight, stanchescu_dk
-from .incidence import Direction, Hyperplane, line_partition, min_line_cover, project_along
-from .pointset import PointSet, affine_dimension, difference_count, sumset_count, unit
+from .incidence import Direction, Hyperplane, min_line_cover, project_along
+from .pointset import PointSet, affine_dimension, difference_count, sumset_count
 from . import search
 from .search import EXHAUSTIVE, RANDOM, SearchSpec, exhaustive_min_diff, random_probe
 
@@ -189,34 +189,6 @@ def random_reduce_instance(rng: random.Random, d: int):
         l = Direction.of(tuple(x - y for x, y in zip(p, q)))
     b = _sample_set(rng, d, rng.randint(1, 6), 4)
     return a, b, l
-
-
-def reduce_properties_hold(a: PointSet, b: PointSet, l: Direction) -> list[str]:
-    """Check the six reduction postconditions plus sumset monotonicity."""
-    d = a.dim
-    s = line_partition(a, l).count
-    a2, b2, trace = reduce_lines(a, b, l)
-    problems = []
-    if len(a2) != len(a) or len(b2) != len(b):
-        problems.append("cardinality")
-    if sumset_count(a2, b2) > sumset_count(a, b):
-        problems.append("sumset grew")
-    part = line_partition(a2, Direction.of(unit(d, d - 1)))
-    if part.count != s:
-        problems.append(f"line count {part.count} != {s}")
-    if affine_dimension(a2) != d:
-        problems.append("dimension dropped")
-    on_plane = [cls for key, cls in part.classes if key[0] == 0]
-    off_plane = [cls for key, cls in part.classes if key[0] != 0]
-    if len(on_plane) != s - 1:
-        problems.append("slab lines != s-1")
-    if len(off_plane) != 1 or len(off_plane[0]) != 1:
-        problems.append("isolated line not a single point")
-    if trace.replay(a) != a2:
-        problems.append("trace replay mismatch")
-    if trace.apply_specs(b) != b2:
-        problems.append("trace spec application mismatch")
-    return problems
 
 
 def suite_reduce(cfg: VerifySuite) -> list[dict]:

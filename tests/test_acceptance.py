@@ -29,11 +29,8 @@ from sumlab import (
 )
 from sumlab.cli import cli_dispatch
 from sumlab.search import EXHAUSTIVE, RANDOM
-from sumlab.verify import (
-    random_compression_instance,
-    random_reduce_instance,
-    reduce_properties_hold,
-)
+from sumlab.compression import reduce_properties_hold
+from sumlab.verify import random_compression_instance, random_reduce_instance
 
 
 def report(cid: str, failures: list, detail: str = "") -> None:

@@ -92,6 +92,12 @@ def test_reduce_and_denormalize(square, singleton):
     assert len(blob2["a"]["points"]) == 4
 
 
+def test_reduce_denormalizes_an_empty_b(square, tmp_path):
+    empty = write_set(tmp_path, "empty.json", 2, [])
+    code, out = run_cli(["reduce", "--input", square, "--b", empty, "--direction", "0,1", "--denormalize"])
+    assert code == 0 and json.loads(out)["b"] == {"dim": 2, "points": []}
+
+
 def test_bounds():
     code, out = run_cli(["bounds", "--claim", "MAIN", "--d", "4", "--n", "100"])
     assert code == 0 and json.loads(out)["value"] == "1843/3"
@@ -99,6 +105,10 @@ def test_bounds():
     blob = json.loads(out)
     assert blob["error_constant"] == "16"
     assert blob["subtracted_radical"]["coefficient"] == "8"
+    code, out = run_cli(["bounds", "--claim", "LEMMA_BASE_2D", "--n", "50", "--m", "10"])
+    blob = json.loads(out)
+    assert code == 0 and blob["subtracted_radical"] == {"coefficient": "5", "sqrt_of": "n"}
+    assert "error_constant" not in blob
 
 
 def test_bounds_eps_and_cd():

@@ -18,7 +18,8 @@ from sumlab import (
     sumset,
 )
 from sumlab.incidence import project_along
-from sumlab.verify import random_compression_instance, random_reduce_instance, reduce_properties_hold
+from sumlab.compression import reduce_properties_hold
+from sumlab.verify import random_compression_instance, random_reduce_instance
 from conftest import oracle_pair_sum_count, pset
 
 H_Y0 = Hyperplane.of((0, 1), 0)
@@ -149,9 +150,36 @@ def test_reduce_rejects_bad_inputs():
 
 def test_reduce_empty_b():
     square = pset(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    a2, b2, _ = reduce(square, PointSet.of(2, []), E2)
+    a2, b2, trace = reduce(square, PointSet.of(2, []), E2)
     assert len(a2) == 4
-    assert len(b2) == 0
+    assert b2 == PointSet.of(2, [])
+    assert trace.apply_specs(b2) == trace.replay(b2) == b2
+    # an empty set goes through the trace's affine map too, so its dimension is checked like any other's
+    for empty in (PointSet.of(1, []), PointSet.of(3, [])):
+        for run in (trace.apply_specs, trace.replay):
+            with pytest.raises(ValueError, match="affine map dimension mismatch"):
+                run(empty)
+
+
+def test_reduce_properties_hold_names_each_problem(monkeypatch):
+    import sumlab.compression as C
+
+    square = pset(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    b = pset(2, [(0, 0)])
+    assert reduce_properties_hold(square, b, E2) == []
+    _, _, trace = reduce(square, b, E2)
+    # three points on the first axis, and a B with two points whose sums with them outnumber |A + B| = 4
+    broken = (pset(2, [(0, 0), (1, 0), (2, 0)]), pset(2, [(0, 0), (5, 5)]), trace)
+    monkeypatch.setattr(C, "reduce", lambda a, b, l: broken)
+    assert reduce_properties_hold(square, b, E2) == [
+        "cardinality",
+        "sumset grew",
+        "line count 3 != 2",
+        "affine dimension 1 != 2",
+        "off-slab points [['1', '0'], ['2', '0']] != [e_1]",
+        "trace replay mismatch",
+        "trace spec application mismatch",
+    ]
 
 
 def test_trace_replay_and_serialization():

@@ -66,6 +66,12 @@ CASES = {
         "reduce(square, PointSet.of(2, [(0, 0)]), Direction.of((0, 1)))",
         "reduction postcondition failed",
     ),
+    "reduce_off_slab": (
+        # the last step lifts e_1 to e_1 + e_2: the line count and the dimension still hold
+        "from_step(3, lambda x, image: PointSet.of(2, [p if p[0] == 0 else (p[0], p[1] + 1) for p in image.points]))\n"
+        "reduce(square, PointSet.of(2, [(0, 0)]), Direction.of((0, 1)))",
+        "reduction postcondition failed: off-slab points",
+    ),
     "compress": (
         # every point its own fibre: two points of one line both land where it meets the hyperplane
         "C._shadow_keys = lambda pts, lv: [(i,) for i in range(len(pts))]\n"

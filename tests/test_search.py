@@ -16,7 +16,7 @@ from sumlab import (
     exhaustive_min_diff,
     random_probe,
 )
-from sumlab.search import EXHAUSTIVE, RANDOM, diff_count
+from sumlab.search import EXHAUSTIVE, RANDOM, _sample_points, diff_count, lattice_points
 from conftest import _fraction_rref, oracle_diff_count
 
 
@@ -187,6 +187,32 @@ def test_exhaustive_rejects_threads_other_than_one(threads):
     with pytest.raises(ValueError, match="one process"):
         exhaustive_min_diff(spec(), threads=threads)
     assert exhaustive_min_diff(spec(), threads=1).best_value == exhaustive_min_diff(spec()).best_value
+
+
+BOXES = [(0,), (6,), (3, 0), (0, 2), (2, 3), (1, 0, 2), (2, 2, 2), (1, 2, 0, 1), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("box", BOXES)
+def test_box_codec_matches_product_and_divmod(box):
+    # seeded reports depend on these exact points and draws: the sorted product lattice and the
+    # divmod decoding of the same rng.sample are the reference
+    assert lattice_points(box) == sorted(itertools.product(*(range(m + 1) for m in box)))
+    volume = SearchSpec(len(box), 1, box, EXHAUSTIVE, seed=0).volume()
+    assert volume == len(lattice_points(box))
+
+    def reference(rng, count):
+        points = []
+        for idx in rng.sample(range(volume), count):
+            coords = []
+            for m in reversed(box):
+                idx, c = divmod(idx, m + 1)
+                coords.append(c)
+            points.append(tuple(reversed(coords)))
+        return points
+
+    for seed in range(30):
+        count = seed % volume + 1
+        assert _sample_points(random.Random(seed), box, count) == reference(random.Random(seed), count)
 
 
 def test_budget_guardrail():
