@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,9 @@ from sumlab import (
     CONSISTENT,
     COUNTEREXAMPLE,
     VACUOUS,
+    CLAIM_IDS,
     Direction,
+    PointSet,
     asym_error_constant,
     below_sqrt_threshold,
     bound_value,
@@ -275,3 +279,56 @@ def test_structure_diagnose_generic_random():
 def test_structure_diagnose_rejects_flat():
     with pytest.raises(ValueError):
         structure_diagnose(pset(2, [(0, 0), (1, 0)]))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+PLANAR = ("GS_LINES", "LEMMA_BASE_2D")
+
+
+def _load(name):
+    return PointSet.from_json(json.loads((GOLDEN / "inputs" / name).read_text()))
+
+
+def _catalog_cases():
+    """(case name, claim, A, B, l) for the claims catalog golden.
+
+    Every claim runs on a committed input pair with both operands (planar
+    claims on a2/b2, the rest on a3/b3); then each instance from the tests
+    above that makes a claim's hypothesis true runs with that claim.
+    """
+    a2, b2, a3, b3 = (_load(f"{s}.json") for s in ("a2", "b2", "a3", "b3"))
+    for claim in CLAIM_IDS:
+        if claim in PLANAR:
+            yield "a2.json, b2.json", claim, a2, b2, Direction.of((1, 0))
+        else:
+            yield "a3.json, b3.json", claim, a3, b3, Direction.of((0, 0, 1))
+    vertical = Direction.of((0, 1))
+    yield ("2x200 grid, 300-point AP", "LEMMA_BASE_2D", pset(2, [(x, y) for x in (0, 1) for y in range(200)]),
+           pset(2, [(0, y) for y in range(300)]), vertical)
+    yield ("2x400 grid, 750-point AP", "ASYM_THM", pset(2, [(x, y) for x in (0, 1) for y in range(400)]),
+           pset(2, [(0, y) for y in range(750)]), vertical)
+    yield "freiman_aps(2, (8, 8))", "LINES_4D", freiman_aps(2, (8, 8)), None, vertical
+    yield "freiman_aps(3, (9, 9, 9))", "STAN_DOUBLING", freiman_aps(3, (9, 9, 9)), None, None
+    yield "stanchescu_dk(3, 4)", "TWOPLANES_1", stanchescu_dk(3, 4), None, Direction.of((0, 1, 0))
+    yield "dlines_general_position(3, (3, 3, 3))", "DLINES", dlines_general_position(3, (3, 3, 3)), None, None
+    yield "{0,1}^4", "MAIN", pset(4, itertools.product((0, 1), repeat=4)), None, None
+
+
+def claims_catalog() -> str:
+    """The catalog golden's text: every case's report with as_conjecture off, then on.
+
+    Rewrite the file from the repository root with
+    python -c "import sys; sys.path[:0] = ['tests', 'src']; import test_bounds as t;
+    open('tests/golden/claims_catalog.json', 'w').write(t.claims_catalog())"
+    """
+    entries = [
+        {"case": case, "as_conjecture": conj, "report": check_claim(claim, a, b, l, as_conjecture=conj).to_json()}
+        for case, claim, a, b, l in _catalog_cases()
+        for conj in (False, True)
+    ]
+    return json.dumps(entries, indent=2) + "\n"
+
+
+def test_claims_catalog_matches_golden():
+    # pins every claim's report bytes, the verdict rule and the rational formatting
+    assert claims_catalog().encode() == (GOLDEN / "claims_catalog.json").read_bytes()
