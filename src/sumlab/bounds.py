@@ -1,7 +1,10 @@
 """The inequality catalog: exact bound formulas and instance-level claim checks.
 
-Each claim bundles an arity, a hypothesis predicate, a conclusion predicate
-and a bound formula, so callers can sweep the catalog generically.  All
+`check_claim` evaluates one claim of CLAIM_IDS on an instance.  Most claims
+bound a count of sums or differences below by their `bound_value` formula;
+the line-count claims (LEMMA_BASE_2D, ASYM_THM) and STAN_DOUBLING bound a
+number of lines instead.  `check_domain` holds the one rule for which claim
+applies in which dimension, for the checks here and for the search.  All
 evaluation is exact rational arithmetic; comparisons against thresholds of
 the form  base - coeff*sqrt(n)  are decided by integer squaring, never by
 floating point.
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .incidence import Direction, hyperplane_slices, line_partition, major_hyperplane, min_line_cover
-from .pointset import PointSet, affine_dimension, difference_count, format_rational, sumset, sumset_count
+from .pointset import PointSet, affine_dimension, difference_count, sumset, sumset_count
 
 CLAIM_IDS = (
     "FREIMAN_SUM",
@@ -54,9 +57,9 @@ class ClaimReport:
             "instance": self.instance,
             "hypothesis_holds": self.hypothesis_holds,
             "conclusion_holds": self.conclusion_holds,
-            "lhs": format_rational(self.lhs),
-            "rhs": format_rational(self.rhs),
-            "margin": format_rational(self.margin),
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
+            "margin": str(self.margin),
             "verdict": self.verdict,
         }
 
@@ -153,6 +156,16 @@ _PLANAR = {"GS_LINES", "LEMMA_BASE_2D"}
 _NEEDS_D2 = {"MAIN", "STAN_DOUBLING", "ASYM_THM", "DLINES", "TWOPLANES_1", "LINES_4D"}
 
 
+def check_domain(claim: str, d: int) -> None:
+    """Raise ValueError unless claim is a catalog claim stated in ambient dimension d."""
+    if claim not in CLAIM_IDS:
+        raise ValueError(f"unknown claim {claim!r}")
+    if claim in _PLANAR and d != 2:
+        raise ValueError(f"{claim} is a planar claim; got d = {d}")
+    if claim in _NEEDS_D2 and d < 2:
+        raise ValueError(f"{claim} needs ambient dimension >= 2; got d = {d}")
+
+
 def check_claim(
     claim: str,
     a: PointSet,
@@ -163,26 +176,25 @@ def check_claim(
 ) -> ClaimReport:
     """Evaluate hypothesis and conclusion of one claim exactly on an instance.
 
-    Verdicts: VACUOUS when the hypothesis fails; CONSISTENT when the
+    B and l must share A's dimension; a claim that does not use them ignores
+    them.  Verdicts: VACUOUS when the hypothesis fails; CONSISTENT when the
     conclusion holds; otherwise COUNTEREXAMPLE, except that size-conditional
     statements (MAIN as a theorem, STAN_DOUBLING below its explicit |A| cutoff,
     LINES_4D) downgrade to BELOW_GUARANTEED_SIZE.  MAIN with as_conjecture
     set is unconditional and can report COUNTEREXAMPLE.
     """
-    if claim not in CLAIM_IDS:
-        raise ValueError(f"unknown claim {claim!r}")
+    d = a.dim
+    check_domain(claim, d)
     if claim in _NEEDS_B and b is None:
         raise ValueError(f"{claim} needs operand B")
     if claim in _NEEDS_L and l is None:
         raise ValueError(f"{claim} needs a line direction")
-    if claim in _PLANAR and a.dim != 2:
-        raise ValueError(f"{claim} is a planar claim; got ambient dimension {a.dim}")
-    if claim in _NEEDS_D2 and a.dim < 2:
-        raise ValueError(f"{claim} needs ambient dimension >= 2")
+    if b is not None and b.dim != d:
+        raise ValueError(f"B has dimension {b.dim}, but A has dimension {d}")
+    if l is not None and len(l.vec) != d:
+        raise ValueError(f"l has dimension {len(l.vec)}, but A has dimension {d}")
 
-    d = a.dim
     n = len(a)
-    full_dim = affine_dimension(a) == d
     guarded = False
     desc = [f"A: {n} points in dim {d}"]
     if b is not None:
@@ -192,85 +204,46 @@ def check_claim(
     if claim == "MAIN" and as_conjecture:
         desc.append("as conjecture")
 
-    if claim == "FREIMAN_SUM":
-        hyp = full_dim
-        lhs = Fraction(sumset_count(a, a))
-        rhs = bound_value(claim, d=d, n=n)
-        concl = lhs >= rhs
-    elif claim == "FHU_DIFF":
-        hyp = full_dim
-        lhs = Fraction(difference_count(a, a))
-        rhs = bound_value(claim, d=d, n=n)
-        concl = lhs >= rhs
-    elif claim == "MAIN":
-        hyp = full_dim
-        lhs = Fraction(difference_count(a, a))
-        rhs = bound_value(claim, d=d, n=n)
-        concl = lhs >= rhs
-        guarded = not as_conjecture
-    elif claim == "RUZSA_ASYM":
-        assert b is not None
-        total = sumset(a, b)
-        hyp = len(a) >= len(b) and affine_dimension(total) == d
-        lhs = Fraction(len(total))
-        rhs = bound_value(claim, d=d, n=n, m=len(b))
-        concl = lhs >= rhs
-    elif claim == "GS_LINES":
-        assert b is not None and l is not None
-        r1 = line_partition(a, l).count
-        r2 = line_partition(b, l).count
-        hyp = True
-        lhs = Fraction(sumset_count(a, b))
-        rhs = bound_value(claim, n=n, r1=r1, m=len(b), r2=r2)
-        concl = lhs >= rhs
-    elif claim == "LEMMA_BASE_2D":
-        assert b is not None and l is not None
-        r1 = line_partition(a, l).count
-        hyp = len(a) >= len(b) and below_sqrt_threshold(
-            sumset_count(a, b), bound_value(claim, n=n, m=len(b)), _radical_coefficient(claim, d), n
-        )
-        lhs = Fraction(r1)
-        rhs = Fraction(n, 4)
-        concl = r1 <= 2 or lhs > rhs
-    elif claim == "ASYM_THM":
-        assert b is not None and l is not None
+    if claim in ("LEMMA_BASE_2D", "ASYM_THM"):
+        # few sums force A onto few lines parallel to l (at most 2, or exactly d) or onto more than n/4
         r = line_partition(a, l).count
-        hyp = full_dim and len(a) >= len(b) and below_sqrt_threshold(
+        hyp = (claim == "LEMMA_BASE_2D" or affine_dimension(a) == d) and n >= len(b) and below_sqrt_threshold(
             sumset_count(a, b), bound_value(claim, d=d, n=n, m=len(b)), _radical_coefficient(claim, d), n
         )
-        lhs = Fraction(r)
-        rhs = Fraction(n, 4)
-        concl = r == d or lhs > rhs
+        lhs, rhs = Fraction(r), Fraction(n, 4)
+        concl = (r <= 2 if claim == "LEMMA_BASE_2D" else r == d) or lhs > rhs
     elif claim == "STAN_DOUBLING":
-        doubling = sumset_count(a, a)
-        hyp = full_dim and Fraction(doubling) < bound_value(claim, d=d, n=n)
-        _, cover = min_line_cover(a) if len(a) >= 2 else (None, 1)
-        lhs = Fraction(cover)
-        rhs = Fraction(d)
-        concl = cover <= d
+        hyp = affine_dimension(a) == d and sumset_count(a, a) < bound_value(claim, d=d, n=n)
+        cover = _cover(a)
+        lhs, rhs, concl = Fraction(cover), Fraction(d), cover <= d
         guarded = n <= 3 * 4**d
-    elif claim == "DLINES":
-        _, cover = min_line_cover(a) if len(a) >= 2 else (None, 1)
-        hyp = full_dim and cover <= d
-        lhs = Fraction(difference_count(a, a))
-        rhs = bound_value(claim, d=d, n=n)
-        concl = lhs >= rhs
-    elif claim == "TWOPLANES_1":
-        assert l is not None
-        hyp, a1_size = _twoplanes_hypothesis(a, l, full_dim)
-        lhs = Fraction(difference_count(a, a))
-        rhs = bound_value(claim, d=d, n=n, a1=a1_size)
-        concl = lhs >= rhs
-    elif claim == "LINES_4D":
-        assert l is not None
-        sizes = line_partition(a, l).class_sizes()
-        hyp = full_dim and all(size >= 4 * d for size in sizes)
-        lhs = Fraction(difference_count(a, a))
-        rhs = bound_value(claim, d=d, n=n)
-        concl = lhs >= rhs
-        guarded = True
     else:
-        raise AssertionError(claim)
+        # every other claim bounds a count of sums or differences below by its bound formula
+        params = {}
+        if claim == "RUZSA_ASYM":
+            total = sumset(a, b)
+            hyp = n >= len(b) and affine_dimension(total) == d
+            count = len(total)
+            params = {"m": len(b)}
+        elif claim == "GS_LINES":
+            hyp = True
+            count = sumset_count(a, b)
+            params = {"r1": line_partition(a, l).count, "m": len(b), "r2": line_partition(b, l).count}
+        elif claim == "TWOPLANES_1":
+            hyp, a1_size = _twoplanes_hypothesis(a, l)
+            count = difference_count(a, a)
+            params = {"a1": a1_size}
+        else:
+            hyp = affine_dimension(a) == d
+            if claim == "DLINES":
+                hyp = hyp and _cover(a) <= d
+            elif claim == "LINES_4D":
+                hyp = hyp and all(size >= 4 * d for size in line_partition(a, l).class_sizes())
+            count = sumset_count(a, a) if claim == "FREIMAN_SUM" else difference_count(a, a)
+            guarded = claim == "LINES_4D" or (claim == "MAIN" and not as_conjecture)
+        lhs = Fraction(count)
+        rhs = bound_value(claim, d=d, n=n, **params)
+        concl = lhs >= rhs
 
     verdict = _verdict(hyp, concl, guarded)
     return ClaimReport(claim, "; ".join(desc), hyp, concl, lhs, rhs, lhs - rhs, verdict)
@@ -286,26 +259,24 @@ def _verdict(hypothesis: bool, conclusion: bool, guarded: bool) -> str:
     return BELOW_GUARANTEED_SIZE if guarded else COUNTEREXAMPLE
 
 
-def _twoplanes_hypothesis(a: PointSet, l: Direction, full_dim: bool) -> tuple[bool, int]:
-    """A full-dimensional (full_dim), r = 2 slabs for the major hyperplane, dim(A_1) = d - 1, d - 1 lines cover A_1.
+def _cover(a: PointSet) -> int:
+    """The fewest parallel lines that cover A; 1 for a set of fewer than two points."""
+    return min_line_cover(a)[1] if len(a) >= 2 else 1
 
-    The major slice is recomputed here rather than trusted from the caller.
-    """
+
+def _twoplanes_hypothesis(a: PointSet, l: Direction) -> tuple[bool, int]:
+    """A full-dimensional, r = 2 slabs for the major hyperplane, dim(A_1) = d - 1, d - 1 lines cover A_1;
+    with |A_1|, or 0 when there is no A_1."""
     d = a.dim
-    if not full_dim:
+    if affine_dimension(a) != d:
         return False, 0
-    try:
-        h = major_hyperplane(a, l)
-    except ValueError:
-        return False, 0
-    slices = hyperplane_slices(a, h)
+    slices = hyperplane_slices(a, major_hyperplane(a, l))
     if len(slices) != 2:
         return False, 0
     a1 = slices[0][1]
     if affine_dimension(a1) != d - 1:
         return False, len(a1)
-    s = line_partition(a1, l).count
-    return s == d - 1, len(a1)
+    return line_partition(a1, l).count == d - 1, len(a1)
 
 
 def structure_diagnose(a: PointSet) -> dict:

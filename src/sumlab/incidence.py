@@ -12,7 +12,6 @@ from typing import Sequence
 from .linalg import affine_basis, kernel_vector
 from .pointset import (
     Point, PointSet, _balanced, _coerce_coord, _from_integers, _json_fields, _pack, _scaled, _unpack, coerce_point,
-    format_rational,
 )
 
 
@@ -71,7 +70,7 @@ class Hyperplane:
         return self.value(p) == self.offset
 
     def to_json(self) -> dict:
-        return {"normal": [str(x) for x in self.normal], "offset": format_rational(self.offset)}
+        return {"normal": [str(x) for x in self.normal], "offset": str(self.offset)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Hyperplane":

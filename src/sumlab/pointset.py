@@ -40,10 +40,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
-def format_rational(value) -> str:
-    return str(Fraction(value))
-
-
 def _coerce_coord(c) -> Fraction:
     """A coordinate from a Fraction, an int (not a bool) or a "p/q" string; anything else is a ValueError."""
     if isinstance(c, Fraction):

@@ -39,7 +39,7 @@ from math import comb, prod
 from typing import Iterable, Sequence
 
 from ._version import __version__
-from .bounds import COUNTEREXAMPLE, ClaimReport, check_claim, CLAIM_IDS, _NEEDS_B, _NEEDS_D2, _NEEDS_L, _PLANAR
+from .bounds import COUNTEREXAMPLE, ClaimReport, _NEEDS_B, _NEEDS_L, check_claim, check_domain
 from .incidence import Direction
 from .linalg import affine_rank
 from .pointset import PointSet, _balanced, _from_integers, _pack, _unpack, difference_count
@@ -78,12 +78,8 @@ class SearchSpec:
             raise ValueError("box needs one nonnegative max coordinate per axis")
         if self.mode not in (EXHAUSTIVE, RANDOM):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.claim is not None and self.claim not in CLAIM_IDS:
-            raise ValueError(f"unknown claim {self.claim!r}")
-        if self.claim in _PLANAR and self.d != 2:
-            raise ValueError(f"{self.claim} is a planar claim; got d = {self.d}")
-        if self.claim in _NEEDS_D2 and self.d < 2:
-            raise ValueError(f"{self.claim} needs ambient dimension >= 2; got d = {self.d}")
+        if self.claim is not None:
+            check_domain(self.claim, self.d)
         if self.mode == RANDOM and (self.trials is None or self.trials < 1):
             raise ValueError("random mode needs trials >= 1")
         if self.n > self.volume():

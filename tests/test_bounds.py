@@ -14,6 +14,7 @@ from sumlab import (
     CLAIM_IDS,
     Direction,
     PointSet,
+    SearchSpec,
     asym_error_constant,
     below_sqrt_threshold,
     bound_value,
@@ -24,6 +25,7 @@ from sumlab import (
     stanchescu_dk,
     structure_diagnose,
 )
+from sumlab.search import EXHAUSTIVE, RANDOM
 from conftest import pset
 
 
@@ -175,6 +177,44 @@ def test_claim_arity_errors():
         check_claim("TWOPLANES_1", a)  # direction missing
     with pytest.raises(ValueError):
         check_claim("UNKNOWN", a)
+
+
+def _simplex(d):
+    # the origin and the unit vectors: a full-dimensional set in every dimension
+    return pset(d, [(0,) * d] + [tuple(int(i == j) for j in range(d)) for i in range(d)])
+
+
+@pytest.mark.parametrize("claim", CLAIM_IDS)
+def test_operands_of_another_dimension_are_refused(claim):
+    # refused before any work, so no claim reads the mismatch as a failed hypothesis (VACUOUS)
+    d = 2 if claim in PLANAR else 3
+    a = _simplex(d)
+    l = Direction.of((1,) + (0,) * (d - 1))
+    with pytest.raises(ValueError, match=f"B has dimension {d + 1}, but A has dimension {d}"):
+        check_claim(claim, a, _simplex(d + 1), l)
+    with pytest.raises(ValueError, match=f"l has dimension {d - 1}, but A has dimension {d}"):
+        check_claim(claim, a, a, Direction.of((1,) * (d - 1)))
+    # operands of A's dimension that the claim does not use are accepted and ignored
+    check_claim(claim, a, a, l)
+
+
+@pytest.mark.parametrize("claim", CLAIM_IDS)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_claim_domain_matches_search(claim, d):
+    # check_claim and SearchSpec apply one domain rule: both accept, or both refuse with one message
+    def outcome(call):
+        try:
+            call()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    a = _simplex(d)
+    expected = outcome(lambda: check_claim(claim, a, a, Direction.of((1,) * d)))
+    for mode in (EXHAUSTIVE, RANDOM):
+        assert outcome(lambda: SearchSpec(d, 2, (2,) * d, mode, seed=0, trials=1, claim=claim)) == expected
+    in_domain = (claim not in PLANAR or d == 2) and (d >= 2 or claim in ("FREIMAN_SUM", "FHU_DIFF", "RUZSA_ASYM"))
+    assert (expected is None) == in_domain
 
 
 def test_stan_doubling_boundary_is_vacuous():

@@ -223,6 +223,14 @@ def test_claims_csv(square):
     assert lines[1].startswith("FHU_DIFF,2,4,9,9,0,")
 
 
+def test_claims_direction_of_another_dimension_exit_code(tmp_path, capsys):
+    # a usage error, not a VACUOUS report
+    run_cli(["construct", "stanchescu", "--d", "3", "--k", "3", "--out", str(tmp_path / "s.json")])
+    code, out = run_cli(["claims", "--claim", "TWOPLANES_1", "--direction", "1,0", "--input", str(tmp_path / "s.json")])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err.startswith("error: l has dimension 2, but A has dimension 3")
+
+
 def test_claims_counterexample_exit_code(square, monkeypatch):
     # no honest instance of a proven inequality can fail, so the exit-1
     # branch is exercised against a stubbed verdict

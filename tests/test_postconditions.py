@@ -1,9 +1,10 @@
-"""Postconditions are checks that raise, so they hold under `python -O`.
+"""Postconditions and refusals are checks that raise, so they hold under `python -O`.
 
 The cases cover the search, compression, reduction, affine-image and
 construction postconditions.  Each case runs a `python -O` subprocess,
 breaks one postcondition on purpose by patching a name the check reads, and
-expects the RuntimeError of that check.
+expects the RuntimeError of that check.  The refusal cases pass check_claim
+an instance outside its claim's domain and expect the ValueError.
 """
 
 import subprocess
@@ -18,7 +19,7 @@ import sumlab.constructions as K
 import sumlab.pointset as P
 import sumlab.search as S
 from sumlab import CompressionSpec, Direction, Hyperplane, PointSet, SearchSpec, compress
-from sumlab import exhaustive_min_diff, random_probe, reduce
+from sumlab import check_claim, exhaustive_min_diff, random_probe, reduce
 
 assert not __debug__, "expected python -O"
 square = PointSet.of(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -123,9 +124,21 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_broken_postcondition_raises_under_optimize(name):
-    code, message = CASES[name]
+# name -> (code after the prelude, start of the expected ValueError message)
+REFUSALS = {
+    "missing_b": ('check_claim("RUZSA_ASYM", square)', "RUZSA_ASYM needs operand B"),
+    "direction_of_another_dimension": (
+        'check_claim("TWOPLANES_1", K.stanchescu_dk(3, 3), l=Direction.of((1, 0)))',
+        "l has dimension 2, but A has dimension 3",
+    ),
+    "planar_claim_in_3d": (
+        'check_claim("GS_LINES", comb, comb, Direction.of((1, 0, 0)))',
+        "GS_LINES is a planar claim; got d = 3",
+    ),
+}
+
+
+def _last_error_line(code: str) -> str:
     src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(
         [sys.executable, "-O", "-c", PRELUDE + code],
@@ -135,4 +148,16 @@ def test_broken_postcondition_raises_under_optimize(name):
         timeout=30,  # without its checks, a broken reduce can loop for ever
     )
     assert result.returncode == 1
-    assert result.stderr.splitlines()[-1].startswith("RuntimeError: " + message)
+    return result.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_broken_postcondition_raises_under_optimize(name):
+    code, message = CASES[name]
+    assert _last_error_line(code).startswith("RuntimeError: " + message)
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_raises_under_optimize(name):
+    code, message = REFUSALS[name]
+    assert _last_error_line(code).startswith("ValueError: " + message)
