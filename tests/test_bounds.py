@@ -8,10 +8,10 @@ import pytest
 
 from sumlab import (
     BELOW_GUARANTEED_SIZE,
+    CLAIM_IDS,
     CONSISTENT,
     COUNTEREXAMPLE,
     VACUOUS,
-    CLAIM_IDS,
     Direction,
     PointSet,
     SearchSpec,
@@ -27,6 +27,8 @@ from sumlab import (
 )
 from sumlab.search import EXHAUSTIVE, RANDOM
 from conftest import pset
+
+PLANAR = ("GS_LINES", "LEMMA_BASE_2D")
 
 
 def test_bound_values_spot():
@@ -322,7 +324,6 @@ def test_structure_diagnose_rejects_flat():
 
 
 GOLDEN = Path(__file__).parent / "golden"
-PLANAR = ("GS_LINES", "LEMMA_BASE_2D")
 
 
 def _load(name):
