@@ -1,11 +1,12 @@
 """Exhaustive and seeded randomized search for difference-set minimisers.
 
 Exhaustive enumeration walks n-subsets of a box lattice in lexicographic
-order and keeps only canonical representatives (lexicographically minimal
-under translation-to-origin, plus coordinate permutation when the box is
-uniform).  With pruning on, three admissible cuts skip subtrees; none can
-remove a canonical subset whose |A - A| is at most the best value found, so
-the minimum and the witness set are those of the full walk:
+order and keeps only canonical representatives, those equal to their
+`canonical_form`: lexicographically minimal under translation-to-origin,
+plus coordinate permutation when the box is uniform.  With pruning on, three
+admissible cuts skip subtrees; none can remove a canonical subset whose
+|A - A| is at most the best value found, so the minimum and the witness set
+are those of the full walk:
 
 - the first point has x_0 = 0.  A canonical set has each coordinate's
   minimum at 0, and its first point, the lexicographic minimum, holds the
@@ -27,6 +28,24 @@ gives the difference set diffs | down << c | up >> c, whose bit count is
 |S - S|; interior nodes and the last level count alike, and nothing is
 undone on the way back.  Enabling or disabling pruning never changes the
 minimum or the witness set, only the number of candidates examined.
+
+The walk chooses lattice indices, and a leaf decides canonicity on them
+without building a permuted copy of its points:
+
+- translation: a set is translated to the origin exactly when every axis
+  holds a point with coordinate 0.  Each lattice point has a bitmask of its
+  zero axes, the walk ORs them along the path, and a leaf whose mask misses
+  an axis is rejected;
+- permutation (uniform boxes only): under the radix m + 1 index order is
+  lexicographic point order (`pointset._pack`), and a permuted box point is
+  again a box point, whose index is the dot product of the point with one
+  weight vector per permutation.  A set is canonical when, for every
+  non-identity permutation, the sorted indices of its permuted points are
+  not less than the chosen index tuple.
+
+Only canonical leaves are ranked (`require_full_dim`), checked against a
+claim or kept as witnesses; every leaf the cuts leave is counted in the
+candidates examined before either test.
 """
 
 from __future__ import annotations
@@ -36,6 +55,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import comb, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from ._version import __version__
@@ -142,6 +162,10 @@ def canonical_form(points: Iterable[IntPoint], allow_permutations: bool = True) 
     """Lexicographically minimal image under translation-to-origin and
     (optionally) coordinate permutation.  |A - A| is invariant under both, so
     restricting a search to canonical representatives preserves the minimum.
+
+    This is the definition of a canonical set.  `random_probe` stores its
+    witnesses in this form; the exhaustive walk decides the same equality
+    on lattice indices (module docstring) and never calls it.
     """
     pts = list(points)
     d = len(pts[0])
@@ -207,34 +231,43 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
     codes = _pack(points, [2 * m + 1 for m in spec.box])
     total = len(points)
     top = codes[-1]
-    uniform = len(set(spec.box)) == 1
+    # bit k of zeros[i] is set when lattice point i has coordinate 0 on axis k
+    zeros = [sum(1 << k for k, c in enumerate(p) if c == 0) for p in points]
+    every_axis = (1 << spec.d) - 1
+    # under the radix m + 1 of a uniform box a point's index is its dot product with place, and
+    # moving each axis i to position σ(i) makes it the dot product with (place[σ(0)], ..., place[σ(d-1)])
+    place = [(spec.box[0] + 1) ** (spec.d - 1 - j) for j in range(spec.d)]
+    weights = list(itertools.permutations(place))[1:] if len(set(spec.box)) == 1 else []
     use_prune = prune and spec.claim is None
     # lattice_points is lexicographic, so its first total // (box[0] + 1) points have x_0 = 0
     first_stop = total // (spec.box[0] + 1) if use_prune else total
 
     best = total * total + 1
-    witnesses: set[tuple[IntPoint, ...]] = set()
+    witnesses: set[tuple[int, ...]] = set()
     examined = 0
     violations: list[ClaimReport] = []
 
-    def leaf(ordered: tuple[IntPoint, ...], value: int) -> None:
-        nonlocal best, examined
-        examined += 1
-        if spec.require_full_dim and affine_rank(ordered) != spec.d:
-            return
-        if canonical_form(ordered, uniform) != ordered:
+    def leaf(chosen: tuple[int, ...], value: int) -> None:
+        nonlocal best
+        pts = [points[i] for i in chosen]
+        # no permuted copy sorts below the chosen indices, which sort as the points do
+        for w in weights:
+            if tuple(sorted([sum(map(mul, p, w)) for p in pts])) < chosen:
+                return
+        if spec.require_full_dim and affine_rank(pts) != spec.d:
             return
         if spec.claim is not None:
-            report = _check_candidate_claim(spec, ordered, None)
+            report = _check_candidate_claim(spec, pts, None)
             if report.verdict == COUNTEREXAMPLE:
                 violations.append(report)
         if value < best:
             best = value
             witnesses.clear()
         if value == best:
-            witnesses.add(ordered)
+            witnesses.add(chosen)
 
-    def walk(start: int, head: tuple[IntPoint, ...], diffs: int, up: int, down: int) -> None:
+    def walk(start: int, head: tuple[int, ...], axes: int, diffs: int, up: int, down: int) -> None:
+        nonlocal examined
         remaining = spec.n - len(head)
         stop = total - remaining + 1 if head else min(total - remaining + 1, first_stop)
         # each later point p adds at least ±(p - head[0]), larger than every difference so far
@@ -246,17 +279,24 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
             if use_prune and size + later > best:
                 continue
             if later:
-                walk(idx + 1, head + (points[idx],), grown, up | 1 << top + c, down | 1 << top - c)
+                walk(idx + 1, head + (idx,), axes | zeros[idx], grown, up | 1 << top + c, down | 1 << top - c)
             else:
-                leaf(head + (points[idx],), size)
+                examined += 1
+                # translation-canonical: every axis holds a point with coordinate 0
+                if axes | zeros[idx] == every_axis:
+                    leaf(head + (idx,), size)
 
-    walk(0, (), 1 << top, 0, 0)
+    walk(0, (), 0, 1 << top, 0, 0)
     if not witnesses:
         raise ValueError("no candidate subset satisfied the dimension requirement")
-    return _search_result(spec, best, witnesses, examined, violations)
+    # index order is lexicographic point order, so the first witnesses by index are the first by points
+    first = sorted(witnesses)[:WITNESS_CAP]
+    return _search_result(spec, best, [tuple(points[i] for i in w) for w in first], examined, violations)
 
 
-def _search_result(spec: SearchSpec, best: int, witnesses: set, examined: int, violations: list) -> SearchResult:
+def _search_result(
+    spec: SearchSpec, best: int, witnesses: Iterable[tuple[IntPoint, ...]], examined: int, violations: list
+) -> SearchResult:
     """The result with the first WITNESS_CAP witnesses, each re-checked to attain best."""
     witness_sets = tuple(_from_integers(spec.d, 1, w) for w in sorted(witnesses)[:WITNESS_CAP])
     for w in witness_sets:

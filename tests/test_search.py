@@ -1,11 +1,14 @@
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumlab import (
     BudgetExceededError,
@@ -16,6 +19,7 @@ from sumlab import (
     exhaustive_min_diff,
     random_probe,
 )
+from sumlab import search
 from sumlab.search import EXHAUSTIVE, RANDOM, _sample_points, diff_count, lattice_points
 from conftest import _fraction_rref, oracle_diff_count
 
@@ -123,6 +127,69 @@ def test_exhaustive_matches_brute_force(d, n, box, full):
     result = exhaustive_min_diff(SearchSpec(d, n, box, EXHAUSTIVE, seed=0, require_full_dim=full))
     assert result.best_value == best
     assert [w.points for w in result.witnesses] == sorted(minimisers)[:32]
+
+
+@st.composite
+def _walk_cases(draw):
+    """A small exhaustive spec: d = 1..4, a uniform box or one with independent extents (zero
+    included), n small enough that every n-subset can be listed."""
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        box = (draw(st.integers(1, (6, 3, 2, 1)[d - 1])),) * d
+    else:
+        box = tuple(draw(st.integers(0, (6, 3, 2, 1)[d - 1])) for _ in range(d))
+    volume = len(lattice_points(box))
+    full = draw(st.booleans()) and volume > d + 1
+    low = d + 1 if full else 1
+    sizes = [n for n in range(low, volume + 1) if math.comb(volume, n) <= 800]
+    return d, draw(st.sampled_from(sizes)), box, full
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_walk_cases())
+@example((2, 3, (0, 4), False))
+@example((3, 4, (1, 0, 2), True))
+@example((4, 3, (1, 1, 1, 1), False))
+@example((4, 5, (1, 1, 0, 1), True))
+def test_exhaustive_leaf_matches_subset_oracle(case):
+    # every n-subset of the box, kept when it is its own canonical_form and, if asked, spans
+    # the space: the walk's index test must keep exactly these, with and without the cuts
+    d, n, box, full = case
+    uniform = len(set(box)) == 1
+    best, minimisers = None, []
+    for subset in itertools.combinations(lattice_points(box), n):
+        if canonical_form(subset, uniform) != subset or full and _affine_rank(subset) != d:
+            continue
+        value = oracle_diff_count(subset)
+        if best is None or value < best:
+            best, minimisers = value, []
+        if value == best:
+            minimisers.append(subset)
+    s = SearchSpec(d, n, box, EXHAUSTIVE, seed=0, require_full_dim=full)
+    for prune in (True, False):
+        if best is None:
+            with pytest.raises(ValueError, match="dimension requirement"):
+                exhaustive_min_diff(s, prune=prune)
+            continue
+        result = exhaustive_min_diff(s, prune=prune)
+        assert result.best_value == best
+        assert [w.points for w in result.witnesses] == minimisers[:32]
+
+
+def test_exhaustive_ranks_only_canonical_leaves(monkeypatch):
+    # with the cuts off every 5-subset of {0,1,2}^3 is a leaf, and 10,024 of the 80,730 equal
+    # their canonical_form (counted by listing them); only those may be ranked, each once, and
+    # then each witness once more in its re-check
+    s = SearchSpec(3, 5, (2, 2, 2), EXHAUSTIVE, seed=0, require_full_dim=True)
+    ranked = []
+    rank = search.affine_rank
+    monkeypatch.setattr(search, "affine_rank", lambda points: ranked.append(tuple(points)) or rank(points))
+    result = exhaustive_min_diff(s, prune=False)
+    assert result.candidates_examined == math.comb(27, 5)
+    leaves, rechecks = ranked[: -len(result.witnesses)], ranked[-len(result.witnesses) :]
+    assert len(leaves) == len(set(leaves)) == 10024
+    assert all(canonical_form(points) == points for points in leaves)
+    assert rechecks == [w.ints for w in result.witnesses]
 
 
 @pytest.mark.parametrize(
