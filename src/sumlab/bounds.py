@@ -106,9 +106,12 @@ def bound_value(claim: str, **params) -> Fraction:
     if claim not in CLAIM_IDS:
         raise ValueError(f"unknown claim {claim!r}")
     p = params
-    # the planar claims' formulas do not take d; every other formula needs d >= 1, or >= 2
+    # the planar claims' formulas do not take d, but a given d must be 2; every other
+    # formula needs d >= 1, or >= 2
     low = 2 if claim in _NEEDS_D2 else 1
-    if claim not in _PLANAR and p.get("d") is not None and p["d"] < low:
+    if claim in _PLANAR and p.get("d") is not None:
+        check_domain(claim, p["d"])
+    elif p.get("d") is not None and p["d"] < low:
         raise ValueError(f"{claim} needs dimension d >= {low}; got d = {p['d']}")
     if claim in ("FREIMAN_SUM", "FHU_DIFF"):
         d, n = _need(p, "d", "n")

@@ -74,6 +74,25 @@ def test_bound_value_rejects_low_dimension(claim, params, low):
         bound_value(claim, **params)
 
 
+@pytest.mark.parametrize(
+    "claim, params",
+    [
+        ("GS_LINES", dict(d=3, n=9, m=4, r1=3, r2=2)),
+        ("LEMMA_BASE_2D", dict(d=5, n=4, m=3)),
+        ("LEMMA_BASE_2D", dict(d=1, n=4, m=3)),
+    ],
+    ids=["GS_LINES-d3", "LEMMA_BASE_2D-d5", "LEMMA_BASE_2D-d1"],
+)
+def test_bound_value_rejects_planar_claim_off_the_plane(claim, params):
+    # the planar claims are stated at d = 2 only; a given d is held to check_claim's domain rule
+    with pytest.raises(ValueError, match=f"^{claim} is a planar claim; got d = {params['d']}$"):
+        bound_value(claim, **params)
+    with pytest.raises(ValueError, match=f"^{claim} is a planar claim; got d = {params['d']}$"):
+        check_claim(claim, pset(params["d"], [(0,) * params["d"]]))
+    planar = {k: v for k, v in params.items() if k != "d"}
+    assert bound_value(claim, **planar, d=2) == bound_value(claim, **planar)
+
+
 def test_main_bound_monotone_in_n():
     for d in (2, 3, 4):
         values = [bound_value("MAIN", d=d, n=n) for n in range(5, 40)]

@@ -145,6 +145,23 @@ def test_bounds_low_dimension_is_input_error(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--claim", "GS_LINES", "--d", "3", "--n", "9", "--m", "4", "--r1", "3", "--r2", "2"],
+        ["--claim", "LEMMA_BASE_2D", "--d", "5", "--n", "4", "--m", "3"],
+    ],
+    ids=["GS_LINES-d3", "LEMMA_BASE_2D-d5"],
+)
+def test_bounds_planar_claim_off_the_plane_is_input_error(capsys, argv):
+    code, out = run_cli(["bounds", *argv])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == f"error: {argv[1]} is a planar claim; got d = {argv[3]}\n"
+    # the same flags at d = 2 evaluate the planar formula
+    code, out = run_cli(["bounds", *argv[:3], "2", *argv[4:]])
+    assert code == 0 and json.loads(out)["params"]["d"] == "2"
+
+
 @pytest.mark.parametrize("value", ["1_0", " 2", "+2", "2\n", "\u0662", "2,\uff13"])
 @pytest.mark.parametrize(
     "command",
