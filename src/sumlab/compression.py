@@ -309,15 +309,16 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
 
 
 def _form_problems(x: PointSet, s: int) -> list[str]:
-    """The ways x fails the slab-plus-point form: s lines along e_d, affine dimension d and
-    {x_1 != 0} = {e_1}.  The texts are built only for a failure."""
+    """The ways x fails the slab-plus-point form: s lines along e_d (two points share one
+    exactly when they agree off the last axis), affine dimension d and {x_1 != 0} = {e_1}.
+    The texts are built only for a failure."""
     d = x.dim
-    part = line_partition(x, Direction.of(unit(d, d - 1)))
+    lines = len({p[:-1] for p in x.ints})
     dim = affine_dimension(x)
-    off_slab = [p for key, cls in part.classes if key[0] != 0 for p in cls.points]
+    off_slab = [p for p in x.points if p[0] != 0]
     problems = []
-    if part.count != s:
-        problems.append(f"line count {part.count} != {s}")
+    if lines != s:
+        problems.append(f"line count {lines} != {s}")
     if dim != d:
         problems.append(f"affine dimension {dim} != {d}")
     if off_slab != [unit(d, 0)]:

@@ -241,18 +241,17 @@ def supporting_hyperplanes(a: PointSet, l: Direction) -> list[Hyperplane]:
     The shadow is the exact projection of the set along l; every returned
     hyperplane has normal orthogonal to l, touches the set in a full facet of
     the shadow's convex hull, and keeps the whole set on one closed side.
-    The facets are enumerated on the integer shadow from `_shadow`.
+    The facets are enumerated on the integer shadow (s, keys) from `_shadow`.
+    A facet n.k = c of the keys is the hyperplane n.x = c / s, since n is
+    orthogonal to l; its primitive normal only needs the canonical sign.
+    The list is sorted by (normal, offset).
     """
-    return _facet_hyperplanes(*_shadow(a, l.vec))
-
-
-def _facet_hyperplanes(s: int, keys: list[tuple[int, ...]]) -> list[Hyperplane]:
-    """The hyperplanes through the facets of the shadow (s, keys) from `_shadow`, sorted."""
+    s, keys = _shadow(a, l.vec)
     shadow = sorted(set(keys))
     if len(shadow) == 1:
         raise ValueError("set projects to a single point along this direction")
-    hs = (Hyperplane.of(n, Fraction(c, s)) for n, c in _facets(shadow))
-    return sorted(hs, key=lambda h: (h.normal, h.offset))
+    facets = sorted((m, c if m == n else -c) for n, c in _facets(shadow) for m in (_primitive_int(n),))
+    return [Hyperplane(n, Fraction(c, s)) for n, c in facets]
 
 
 def major_hyperplane(a: PointSet, l: Direction) -> Hyperplane:
@@ -260,15 +259,13 @@ def major_hyperplane(a: PointSet, l: Direction) -> Hyperplane:
 
     Ties break toward the lexicographically smallest (normal, offset).
     """
-    s, keys = _shadow(a, l.vec)
 
     def incidences(h: Hyperplane) -> int:
-        # the normal is orthogonal to l, so normal . key = |l|^2 (normal . p'), and p lies
-        # on h exactly when that equals offset * s
-        target = h.offset * s
-        return sum(_dot(h.normal, k) == target for k in keys)
+        # p lies on h exactly when its integer point p' = scale * p has normal . p' = offset * scale
+        target = h.offset * a.scale
+        return sum(_dot(h.normal, p) == target for p in a.ints)
 
-    return max(_facet_hyperplanes(s, keys), key=incidences)
+    return max(supporting_hyperplanes(a, l), key=incidences)
 
 
 def hyperplane_slices(a: PointSet, h: Hyperplane) -> list[tuple[Hyperplane, PointSet]]:

@@ -21,13 +21,13 @@ are those of the full walk:
   |S - S| + 2r > best is cut; ties survive, so tied witnesses are kept.
 
 The global floor |A - A| >= 2|A| - 1 is implied by the look-ahead.  The walk
-carries its state as three ints over the packed codes, with top the largest
-code: `diffs` has bit top + δ for each difference δ of the prefix, `up` has
-bit top + q and `down` bit top - q for each chosen code q.  Adding code c
-gives the difference set diffs | down << c | up >> c, whose bit count is
-|S - S|; interior nodes and the last level count alike, and nothing is
-undone on the way back.  Enabling or disabling pruning never changes the
-minimum or the witness set, only the number of candidates examined.
+carries two ints over the packed codes, with top the largest code: the
+difference set is symmetric, so `pos` has bit δ for each positive difference
+δ of the prefix, and `down` has bit top - q for each chosen code q.  A new
+code c exceeds every chosen one, so adding it gives pos | (down << c) >> top,
+and |S - S| = 2 popcount(pos) + 1; interior nodes and the last level count
+alike, and nothing is undone on the way back.  Pruning on or off never
+changes the minimum or the witness set, only the number of candidates examined.
 
 The walk chooses lattice indices, and a leaf decides canonicity on them
 without building a permuted copy of its points:
@@ -266,7 +266,7 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
         if value == best:
             witnesses.add(chosen)
 
-    def walk(start: int, head: tuple[int, ...], axes: int, diffs: int, up: int, down: int) -> None:
+    def walk(start: int, head: tuple[int, ...], axes: int, pos: int, down: int) -> None:
         nonlocal examined
         remaining = spec.n - len(head)
         stop = total - remaining + 1 if head else min(total - remaining + 1, first_stop)
@@ -274,19 +274,19 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
         later = 2 * (remaining - 1)
         for idx in range(start, stop):
             c = codes[idx]
-            grown = diffs | down << c | up >> c
-            size = grown.bit_count()
+            grown = pos | down << c >> top
+            size = 2 * grown.bit_count() + 1
             if use_prune and size + later > best:
                 continue
             if later:
-                walk(idx + 1, head + (idx,), axes | zeros[idx], grown, up | 1 << top + c, down | 1 << top - c)
+                walk(idx + 1, head + (idx,), axes | zeros[idx], grown, down | 1 << top - c)
             else:
                 examined += 1
                 # translation-canonical: every axis holds a point with coordinate 0
                 if axes | zeros[idx] == every_axis:
                     leaf(head + (idx,), size)
 
-    walk(0, (), 0, 1 << top, 0, 0)
+    walk(0, (), 0, 0, 0)
     if not witnesses:
         raise ValueError("no candidate subset satisfied the dimension requirement")
     # index order is lexicographic point order, so the first witnesses by index are the first by points

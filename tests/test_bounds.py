@@ -302,6 +302,16 @@ def test_twoplanes_on_stanchescu():
     assert report.verdict == CONSISTENT
 
 
+def test_twoplanes_vacuous_without_its_slab_pair():
+    # a flat set is not full-dimensional
+    flat = pset(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    assert check_claim("TWOPLANES_1", flat, l=Direction.of((0, 0, 1))).verdict == VACUOUS
+    # two slabs, but the major slice is a segment rather than a plane
+    a = pset(3, [(0, 1, 2), (0, 2, 1), (1, 0, 0), (2, 0, 1)])
+    report = check_claim("TWOPLANES_1", a, l=Direction.of((1, 1, 0)))
+    assert (report.verdict, report.lhs, report.rhs) == (VACUOUS, 13, 9)
+
+
 def test_report_json_uses_strings():
     report = check_claim("MAIN", stanchescu_dk(2, 2), as_conjecture=True)
     blob = report.to_json()
@@ -324,6 +334,13 @@ def test_structure_diagnose_freiman():
     assert rep["slab_count"] == 2
     assert rep["slice_sizes"] == [8, 4]
     assert rep["size_imbalance"] == 4
+    assert rep["top_slice_fits_dminus1_lines"] is True
+
+
+def test_structure_diagnose_one_point_top_slice():
+    rep = structure_diagnose(pset(2, [(0, 1), (1, 0), (1, 1), (2, 2)]))
+    assert rep["slice_sizes"] == [1, 2, 1]
+    assert rep["top_slice_line_cover"] is None
     assert rep["top_slice_fits_dminus1_lines"] is True
 
 

@@ -279,6 +279,15 @@ def test_search_cli():
     assert code == 0
 
 
+def test_search_counterexample_exit_code():
+    # the 4-cube breaks MAIN read as a conjecture (tests/test_search.py)
+    code, out = run_cli(
+        ["search", "--mode", "exhaustive", "--d", "4", "--n", "16", "--box", "1", "--seed", "0",
+         "--claim", "MAIN", "--as-conjecture", "--require-full-dim"]
+    )
+    assert code == 1 and len(json.loads(out)["violations"]) == 1
+
+
 def test_search_requires_seed():
     code, _ = run_cli(["search", "--mode", "exhaustive", "--d", "2", "--n", "4", "--box", "3"])
     assert code == 3

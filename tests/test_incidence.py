@@ -254,7 +254,7 @@ def test_major_hyperplane_tiebreak():
 
 
 def test_major_hyperplane_scales_the_set_once(monkeypatch):
-    # the incidence counts reuse the integer shadow the facet enumeration was built on
+    # the shadow is built once, by the supporting_hyperplanes call the incidences are counted over
     import sumlab.incidence
 
     real = sumlab.incidence._shadow

@@ -354,6 +354,36 @@ def test_random_probe_fhu_floor():
     assert result.best_value >= 3 * 6 - 3
 
 
+CUBE4_MAIN = dict(d=4, n=16, box=(1, 1, 1, 1), seed=0, claim="MAIN", as_conjecture=True, require_full_dim=True)
+
+
+def test_exhaustive_finds_the_4_cube_counterexample_to_main_as_conjecture():
+    # {0,1}^4 has |A - A| = 81, 4/3 below the conjectured MAIN bound at d = 4, n = 16
+    s = SearchSpec(mode=EXHAUSTIVE, **CUBE4_MAIN)
+    result = exhaustive_min_diff(s)
+    assert result.best_value == 81
+    assert [(v.verdict, v.margin) for v in result.violations] == [("COUNTEREXAMPLE", Fraction(-4, 3))]
+    assert exhaustive_min_diff(s, prune=False).candidates_examined == result.candidates_examined
+    smaller = exhaustive_min_diff(SearchSpec(mode=EXHAUSTIVE, **{**CUBE4_MAIN, "n": 12}))
+    assert smaller.violations == ()
+
+
+def test_random_probe_records_each_violating_trial():
+    result = random_probe(SearchSpec(mode=RANDOM, trials=2, **CUBE4_MAIN))
+    assert [(v.verdict, v.margin) for v in result.violations] == [("COUNTEREXAMPLE", Fraction(-4, 3))] * 2
+
+
+def test_random_probe_resamples_until_full_dimensional(monkeypatch):
+    ranks = []
+    real = search.affine_rank
+    monkeypatch.setattr(search, "affine_rank", lambda pts: ranks.append(pts) or real(pts))
+    result = random_probe(SearchSpec(2, 3, (2, 1), RANDOM, seed=0, trials=40, require_full_dim=True))
+    assert result.candidates_examined == 40 and len(ranks) == 55
+    assert all(real(w.ints) == 2 for w in result.witnesses)
+    with pytest.raises(ValueError, match="could not sample a full-dimensional subset"):
+        random_probe(SearchSpec(2, 3, (3, 0), RANDOM, seed=0, trials=40, require_full_dim=True))
+
+
 def test_exhaustive_rejects_pair_claims():
     with pytest.raises(ValueError):
         exhaustive_min_diff(spec(claim="GS_LINES"))
