@@ -98,7 +98,7 @@ def bound_value(claim: str, **params) -> Fraction:
     """Exact rational value of a claim's bound formula.
 
     Parameters by name: d (dimension), n (|A|), m (|B|), r1, r2 (line counts),
-    a1 (|A_1|), eps and c_d (the two user-supplied constants of LINES_4D).
+    a1 (|A_1|), eps and c_d (the two user-supplied constants of LINES_4D, both or neither).
     For the sqrt-threshold claims ASYM_THM and LEMMA_BASE_2D the returned
     value is the rational part only; the full strict comparison, which
     subtracts `_radical_coefficient` * sqrt(n), lives in below_sqrt_threshold.
@@ -139,8 +139,11 @@ def bound_value(claim: str, **params) -> Fraction:
         return Fraction((2 * d - 2) * n) + Fraction(2, d - 1) * a1 - (2 * d * d - 4 * d + 3)
     if claim in ("LINES_4D", "MAIN"):
         d, n = _need(p, "d", "n")
-        if claim == "LINES_4D" and p.get("eps") is not None and p.get("c_d") is not None:
-            return (2 * d - 2 + Fraction(1, d - 1) + Fraction(p["eps"])) * n - Fraction(p["c_d"])
+        eps, c_d = p.get("eps"), p.get("c_d")
+        if claim == "LINES_4D" and (eps is None) != (c_d is None):
+            raise ValueError(f"LINES_4D takes eps and c_d together; missing {'eps' if eps is None else 'c_d'}")
+        if claim == "LINES_4D" and eps is not None:
+            return (2 * d - 2 + Fraction(1, d - 1) + Fraction(eps)) * n - Fraction(c_d)
         return (2 * d - 2 + Fraction(1, d - 1)) * n - (2 * d * d - 4 * d + 3)
     raise AssertionError(claim)
 

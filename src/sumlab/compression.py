@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .incidence import Direction, Hyperplane, _dot, _shadow, _shadow_keys, line_partition
+from .incidence import Direction, Hyperplane, _dot, _group, _shadow, _shadow_keys, line_partition
 from .linalg import affine_basis
 from .pointset import (
     AffineMap, Point, PointSet, _coerce_coord, _from_integers, _json_fields, _point, _scaled, affine_dimension,
@@ -44,14 +43,6 @@ class CompressionSpec:
         return cls(Hyperplane.from_json(hyperplane), Direction.from_json(direction))
 
 
-def _fibers(pts: Sequence[tuple[int, ...]], v: tuple[int, ...]) -> Iterable[list[int]]:
-    """The indices of the integer points on each line parallel to v, in the points' order."""
-    fibers: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(_shadow_keys(pts, v)):
-        fibers.setdefault(key, []).append(i)
-    return fibers.values()
-
-
 def compress(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, dict[Point, Point]]:
     """Slide each fiber parallel to the direction into a run u, u+v, u+2v, ...
 
@@ -72,8 +63,6 @@ def _slide(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, list[tuple[int
     the fiber starting at p is u = p + (c - n.p) / (n.v) v, and over the scale
     s q k it is the integer point q k p' + sign(n.v) (s c' - q n.p') v.
     """
-    if not a.ints:
-        raise ValueError("cannot compress an empty set")
     if len(spec.direction.vec) != a.dim:
         raise ValueError("compression dimension mismatch")
     v = spec.direction.vec
@@ -83,7 +72,8 @@ def _slide(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, list[tuple[int
     q, k = offset.denominator, abs(nv)
     step = [s * q * k * x for x in v]
     moved: list = [None] * len(pts)
-    for fiber in _fibers(pts, v):
+    # the indices of the points on each line parallel to v, in the points' order
+    for fiber in _group(range(len(pts)), _shadow_keys(pts, v)).values():
         p0 = pts[fiber[0]]
         t = (s * offset.numerator - q * _dot(normal, p0)) * (1 if nv > 0 else -1)
         u = [q * k * c + t * x for c, x in zip(p0, v)]
@@ -140,8 +130,6 @@ class CompressionTrace:
         if self.initial_affine is not None:
             x = apply_affine(x, self.initial_affine)
         for step in self.steps:
-            if not x.ints:
-                break
             x = _slide(x, step.spec)[0]
         return x
 
@@ -211,16 +199,17 @@ def _assert_downclosed(a: PointSet) -> None:
                 raise RuntimeError(f"set is not down-closed at {p}, axis {i}")
 
 
-def _normalizing_map(a: PointSet, l: Direction) -> AffineMap:
-    """Affine map sending l to the last axis and a chosen simplex of A onto
-    {0, e_1, ..., e_d}: two points of a common fiber go to 0 and e_d, then a
+def _normalizing_map(a: PointSet, fibers: list[list[int]]) -> AffineMap:
+    """Affine map sending the fibers' direction to the last axis and a chosen simplex of A
+    onto {0, e_1, ..., e_d}: two points of a common fiber go to 0 and e_d, then a
     greedy rank extension in lexicographic order fills e_1 .. e_{d-1}.
 
+    Each fiber lists the indices of A's points on one line, in the points' order.
     The fiber is the one with the smallest first point, and the rank
     extension runs on the set's integer points, the points times its scale s
     (a positive factor, so it keeps the same vectors), each divided by s."""
     s, pts = a.scale, a.ints
-    i0, i1 = min(fiber[:2] for fiber in _fibers(pts, l.vec) if len(fiber) >= 2)
+    i0, i1 = min(fiber[:2] for fiber in fibers if len(fiber) >= 2)
     along, *rest = affine_basis((pts[i0], pts[i1], *pts))
     columns = [*rest, along]
     mat = tuple(tuple(Fraction(col[i], s) for col in columns) for i in range(a.dim))
@@ -252,7 +241,8 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
         raise ValueError("operand dimension mismatch")
     if affine_dimension(a) != d:
         raise ValueError("set must span the ambient space")
-    s = len(set(_shadow(a, l.vec)[1]))
+    fibers = list(_group(range(len(a)), _shadow(a, l.vec)[1]).values())
+    s = len(fibers)
     if s == len(a):
         raise ValueError("every line parallel to l meets the set in a single point")
     if d == 2 and s > 2:
@@ -261,7 +251,7 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
             f"got {s} lines parallel to l"
         )
 
-    transform = _normalizing_map(a, l)
+    transform = _normalizing_map(a, fibers)
     x = apply_affine(a, transform)
     y = apply_affine(b, transform)
     steps: list[TraceStep] = []
@@ -270,8 +260,7 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
         nonlocal x, y
         x, mapping = compress(x, spec)
         steps.append(TraceStep(spec, tuple(mapping.items())))
-        if y.ints:
-            y = _slide(y, spec)[0]
+        y = _slide(y, spec)[0]
 
     run(_axis_spec(d, d - 1))
     for axis in range(d - 2, -1, -1):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul, sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .linalg import affine_basis, kernel_vector
 from .pointset import (
@@ -117,16 +117,22 @@ def _shadow_keys(pts: Sequence[tuple[int, ...]], lv: tuple[int, ...]) -> list[tu
     return [tuple(x * norm - t * y for x, y in zip(p, lv)) for p in pts for t in (_dot(p, lv),)]
 
 
+def _group(items: Iterable, keys: Iterable) -> dict:
+    """{key: the items with that key}: items[i] has keys[i], and groups and their items keep
+    the order of first appearance."""
+    groups: dict = {}
+    for key, item in zip(keys, items):
+        groups.setdefault(key, []).append(item)
+    return groups
+
+
 def line_partition(a: PointSet, l: Direction) -> LinePartition:
     """Group points by the line parallel to l through them (exact projection keys); each
     class lists its points in lexicographic order, which is their order along l."""
     s, keys = _shadow(a, l.vec)
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for key, p in zip(keys, a.ints):
-        groups.setdefault(key, []).append(p)
     classes = tuple(
         (tuple(Fraction(x, s) for x in key), _from_integers(a.dim, a.scale, pts))
-        for key, pts in sorted(groups.items())
+        for key, pts in sorted(_group(a.ints, keys).items())
     )
     return LinePartition(l, classes)
 
@@ -279,9 +285,7 @@ def hyperplane_slices(a: PointSet, h: Hyperplane) -> list[tuple[Hyperplane, Poin
         raise ValueError("empty set")
     if len(h.normal) != a.dim:
         raise ValueError("hyperplane dimension mismatch")
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for p in a.ints:
-        groups.setdefault(_dot(h.normal, p), []).append(p)
+    groups = _group(a.ints, [_dot(h.normal, p) for p in a.ints])
     values = sorted(groups)
     if h.offset * a.scale >= values[-1] and values[0] < values[-1]:
         values = values[::-1]

@@ -47,6 +47,14 @@ def test_bound_values_spot():
 def test_asym_error_constant():
     assert asym_error_constant(2) == 16
     assert asym_error_constant(3) == 15625
+    with pytest.raises(ValueError, match="need d >= 2"):
+        asym_error_constant(1)
+
+
+@pytest.mark.parametrize("given, missing", [(dict(eps=Fraction(1, 2)), "c_d"), (dict(c_d=3), "eps")])
+def test_lines_4d_refuses_half_of_its_constant_pair(given, missing):
+    with pytest.raises(ValueError, match=f"LINES_4D takes eps and c_d together; missing {missing}$"):
+        bound_value("LINES_4D", d=3, n=10, **given)
 
 
 def test_bound_value_missing_params():

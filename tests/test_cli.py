@@ -98,6 +98,18 @@ def test_reduce_denormalizes_an_empty_b(square, tmp_path):
     assert code == 0 and json.loads(out)["b"] == {"dim": 2, "points": []}
 
 
+def test_compress_takes_an_empty_set_to_an_empty_set(square, tmp_path, capsys):
+    empty = write_set(tmp_path, "empty.json", 2, [])
+    flags = ["--normal", "0,1", "--offset", "0", "--direction", "0,1"]
+    code, out = run_cli(["compress", "--input", empty, *flags])
+    blob = json.loads(out)
+    assert code == 0 and blob["result"] == {"dim": 2, "points": []} and blob["map"] == []
+    # the report counts |A + B|, and set arithmetic has no empty operands
+    code, out = run_cli(["compress", "--input", square, "--b", empty, *flags])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == "error: set arithmetic requires nonempty operands\n"
+
+
 def test_bounds():
     code, out = run_cli(["bounds", "--claim", "MAIN", "--d", "4", "--n", "100"])
     assert code == 0 and json.loads(out)["value"] == "1843/3"
@@ -115,6 +127,13 @@ def test_bounds_eps_and_cd():
     code, out = run_cli(["bounds", "--claim", "LINES_4D", "--d", "4", "--n", "10", "--eps", "1/10", "--cd", "2"])
     blob = json.loads(out)
     assert code == 0 and blob["value"] == "187/3" and blob["params"]["eps"] == "1/10"
+
+
+@pytest.mark.parametrize("flag, missing", [("--eps", "c_d"), ("--cd", "eps")])
+def test_bounds_lines_4d_refuses_half_of_its_constant_pair(capsys, flag, missing):
+    code, out = run_cli(["bounds", "--claim", "LINES_4D", "--d", "3", "--n", "10", flag, "1/2"])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == f"error: LINES_4D takes eps and c_d together; missing {missing}\n"
 
 
 @pytest.mark.parametrize(
@@ -218,6 +237,65 @@ def test_integer_flags_are_strict(capsys, command, value):
 def test_float_direction_normal_offset_exit_code(square, command):
     code, _ = run_cli([*command, "--input", square])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ["compress", "--input", "A3", "--normal", "0,1", "--offset", "0", "--direction", "0,1"],
+            "compression dimension mismatch",
+            id="compress-dim",
+        ),
+        pytest.param(
+            ["compress", "--input", "SQUARE", "--normal", "0,1,0", "--offset", "0", "--direction", "0,1"],
+            "hyperplane and direction dimensions differ",
+            id="compress-spec-dims",
+        ),
+        pytest.param(
+            ["reduce", "--input", "A1", "--direction", "1"],
+            "reduction needs ambient dimension at least 2",
+            id="reduce-d1",
+        ),
+        pytest.param(
+            ["reduce", "--input", "A3", "--b", "SQUARE", "--direction", "0,0,1"],
+            "operand dimension mismatch",
+            id="reduce-b-dim",
+        ),
+        pytest.param(["lines", "--input", "A3", "--direction", "1,0"], "direction dimension mismatch", id="lines-dim"),
+        pytest.param(["lines", "--input", "EMPTY", "--direction", "1,0"], "empty set", id="lines-empty"),
+        pytest.param(["lines", "--input", "POINT"], "need at least two points", id="lines-cover-one-point"),
+        pytest.param(["construct", "freiman-aps", "--d", "0", "--lengths", "1"], "need d >= 1", id="freiman-aps-d0"),
+        pytest.param(
+            ["construct", "stanchescu", "--d", "3"], "construction stanchescu needs --k", id="stanchescu-no-k"
+        ),
+        pytest.param(
+            ["search", "--d", "0", "--n", "1", "--box", "1", "--mode", "exhaustive", "--seed", "0"],
+            "need d >= 1 and n >= 1",
+            id="search-d0",
+        ),
+        pytest.param(
+            ["verify", "--dims", "1", "--seed", "0"], "dims must be a nonempty subset of {2,...,6}", id="verify-dims"
+        ),
+        pytest.param(["verify", "--trials", "0", "--seed", "0"], "trials must be >= 1", id="verify-trials"),
+        pytest.param(
+            ["dim", "--input", "NO_COORDINATES"], "points must have at least one coordinate", id="dim-no-coords"
+        ),
+    ],
+)
+def test_library_refusals_are_input_errors(tmp_path, capsys, argv, message):
+    inputs = {
+        "SQUARE": (2, [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]),
+        "A3": (3, [["0", "0", "0"], ["1", "0", "0"]]),
+        "A1": (1, [["0"], ["1"]]),
+        "EMPTY": (2, []),
+        "POINT": (2, [["0", "0"]]),
+        "NO_COORDINATES": (1, [[]]),
+    }
+    argv = [write_set(tmp_path, f"{arg}.json", *inputs[arg]) if arg in inputs else arg for arg in argv]
+    code, out = run_cli(argv)
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_claims_json_and_exit(tmp_path):

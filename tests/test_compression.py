@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from sumlab import (
     sumset,
 )
 from sumlab.incidence import project_along
-from sumlab.compression import reduce_properties_hold
+from sumlab.compression import TraceStep, reduce_properties_hold
 from sumlab.verify import random_compression_instance, random_reduce_instance
 from conftest import oracle_pair_sum_count, pset
 
@@ -91,9 +92,43 @@ def test_compress_monotonicity_randomized():
         assert len(sumset(pa, pb)) <= len(sumset(a, b))
 
 
-def test_compress_rejects_empty():
-    with pytest.raises(ValueError):
-        compress(PointSet.of(2, []), CompressionSpec(H_Y0, E2))
+def test_compress_takes_empty_to_empty():
+    empty, spec = PointSet.of(2, []), CompressionSpec(H_Y0, E2)
+    assert compress(empty, spec) == (empty, {})
+    assert compress_pair(pset(2, [(0, 3), (1, 1)]), empty, spec) == (pset(2, [(0, 0), (1, 0)]), empty)
+    assert CompressionTrace((TraceStep(spec, ()),)).apply_specs(empty) == empty
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: CompressionSpec(H_Y0, Direction.of((0, 0, 1))), "hyperplane and direction dimensions differ",
+            id="spec-dims",
+        ),
+        pytest.param(
+            lambda: compress(pset(3, [(0, 0, 0)]), CompressionSpec(H_Y0, E2)), "compression dimension mismatch",
+            id="compress-dim",
+        ),
+        pytest.param(
+            lambda: compress(PointSet.of(3, []), CompressionSpec(H_Y0, E2)), "compression dimension mismatch",
+            id="compress-empty-dim",
+        ),
+        pytest.param(
+            lambda: reduce(pset(1, [(0,), (1,)]), pset(1, [(0,)]), Direction.of((1,))),
+            "reduction needs ambient dimension at least 2",
+            id="reduce-d1",
+        ),
+        pytest.param(
+            lambda: reduce(pset(2, [(0, 0), (0, 1), (1, 0)]), pset(3, [(0, 0, 0)]), E2),
+            "operand dimension mismatch",
+            id="reduce-b-dim",
+        ),
+    ],
+)
+def test_compression_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_reduce_square_example():

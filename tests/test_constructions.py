@@ -130,6 +130,8 @@ def test_parameter_validation():
         stanchescu_dk(1, 3)
     with pytest.raises(ValueError):
         stanchescu_dk(3, 0)
+    with pytest.raises(ValueError, match="need d >= 1"):
+        freiman_aps(0, [])
     with pytest.raises(ValueError):
         freiman_aps(2, (3,))
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -303,3 +304,32 @@ def test_stanchescu_32_slices():
     h = major_hyperplane(a, Direction.of((0, 1, 0)))
     slices = hyperplane_slices(a, h)
     assert [len(s) for _, s in slices] == [4, 4]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: line_partition(PointSet.of(2, []), E2), "empty set", id="partition-empty"),
+        pytest.param(
+            lambda: line_partition(pset(3, [(0, 0, 0)]), E1), "direction dimension mismatch", id="partition-dim"
+        ),
+        pytest.param(lambda: supporting_hyperplanes(PointSet.of(2, []), E2), "empty set", id="supporting-empty"),
+        pytest.param(
+            lambda: supporting_hyperplanes(pset(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]), E1),
+            "direction dimension mismatch",
+            id="supporting-dim",
+        ),
+        pytest.param(lambda: min_line_cover(pset(2, [(0, 0)])), "need at least two points", id="cover-one-point"),
+        pytest.param(
+            lambda: hyperplane_slices(PointSet.of(2, []), Hyperplane.of((0, 1), 0)), "empty set", id="slices-empty"
+        ),
+        pytest.param(
+            lambda: hyperplane_slices(pset(3, [(0, 0, 0)]), Hyperplane.of((0, 1), 0)),
+            "hyperplane dimension mismatch",
+            id="slices-dim",
+        ),
+    ],
+)
+def test_incidence_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

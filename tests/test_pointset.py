@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -220,3 +221,26 @@ def test_raw_affine_map_rejects_entries_other_than_int_and_fraction(matrix, tran
     with pytest.raises(ValueError, match=message):
         AffineMap(matrix, translation)
 
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: PointSet.of(2, [()]), "points must have at least one coordinate", id="no-coordinates"),
+        pytest.param(lambda: PointSet.of(0, []), "ambient dimension must be positive", id="dim-0"),
+        pytest.param(
+            lambda: AffineMap([[1, 0]], [0]), "affine map needs a square matrix and a matching translation",
+            id="affine-not-square",
+        ),
+        pytest.param(
+            lambda: AffineMap.from_json({"matrix": "1", "translation": ["0"]}), "'matrix' must be a list of rows",
+            id="affine-json-matrix",
+        ),
+    ],
+)
+def test_pointset_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_iterating_a_set_yields_its_fraction_points():
+    assert list(pset(2, [(Fraction(1, 2), 3), (0, 1)])) == [(0, 1), (Fraction(1, 2), 3)]

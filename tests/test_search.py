@@ -417,3 +417,20 @@ def test_result_json_shape():
     assert blob["spec"]["mode"] == EXHAUSTIVE
     assert blob["seed"] == 0
     assert isinstance(blob["witnesses"], list)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: spec(d=0, box=()), "need d >= 1 and n >= 1", id="d0"),
+        pytest.param(lambda: spec(mode="NOPE"), "unknown mode 'NOPE'", id="mode"),
+        pytest.param(
+            lambda: exhaustive_min_diff(spec(mode=RANDOM, trials=1)), "exhaustive_min_diff needs an EXHAUSTIVE spec",
+            id="exhaustive-random-spec",
+        ),
+        pytest.param(lambda: random_probe(spec()), "random_probe needs a RANDOM spec", id="probe-exhaustive-spec"),
+    ],
+)
+def test_search_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
