@@ -370,10 +370,10 @@ def cli_dispatch(argv: list[str]) -> int:
     try:
         _parse_int_flags(args)
         report, code = _HANDLERS[args.command](args, hashes)
+        _emit(report, args)
     except (BudgetExceededError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    _emit(report, args)
     return code
 
 

@@ -1,8 +1,13 @@
 """Seeded verification battery behind the `verify` CLI subcommand.
 
-Each suite re-derives its expected values from enumeration oracles or checks
-exact identities on randomized instances; the summary report is fully
-deterministic for a fixed (suite, trials, seed, dims) configuration.
+The checks compare the library with what it must agree with: the sizes of
+the extremal constructions and of random sets with the bound formulas of
+`bound_value` and `check_claim`, each compression and reduction with the
+invariants it must keep, and the pruned exhaustive walk with the walk with
+pruning off. The summary report is fully deterministic for a fixed (suite,
+trials, seed, dims) configuration. The acceptance module runs the same checks
+with its own seeds and trial counts, the randomized ones through
+`compression_checks` and `reduce_checks`.
 """
 
 from __future__ import annotations
@@ -133,12 +138,10 @@ def random_compression_instance(rng: random.Random, d: int, box: int = 5):
     return a, b, spec
 
 
-def suite_compression(cfg: VerifySuite) -> list[dict]:
-    dims = [d for d in cfg.dims if d in (2, 3)] or [2, 3]
+def compression_checks(rng: random.Random, trials: int, dims) -> list[dict]:
     mono_failures = []
     proj_failures = []
-    rng = search._seeded_rng(f"{cfg.seed}:compression")
-    for i in range(cfg.trials):
+    for i in range(trials):
         d = dims[i % len(dims)]
         a, b, spec = random_compression_instance(rng, d)
         pa, pb = compress_pair(a, b, spec)
@@ -150,9 +153,14 @@ def suite_compression(cfg: VerifySuite) -> list[dict]:
         if {project_along(p, spec.direction) for p in pa.points} != shadow:
             proj_failures.append({"trial": i})
     return [
-        _check("compress_monotonicity", mono_failures, {"trials": cfg.trials}),
+        _check("compress_monotonicity", mono_failures, {"trials": trials}),
         _check("compress_projection_preserved", proj_failures),
     ]
+
+
+def suite_compression(cfg: VerifySuite) -> list[dict]:
+    dims = [d for d in cfg.dims if d in (2, 3)] or [2, 3]
+    return compression_checks(search._seeded_rng(f"{cfg.seed}:compression"), cfg.trials, dims)
 
 
 def random_reduce_instance(rng: random.Random, d: int):
@@ -191,25 +199,26 @@ def random_reduce_instance(rng: random.Random, d: int):
     return a, b, l
 
 
-def suite_reduce(cfg: VerifySuite) -> list[dict]:
-    dims = [d for d in cfg.dims if d in (2, 3)] or [2, 3]
-    rng = search._seeded_rng(f"{cfg.seed}:reduce")
+def reduce_checks(rng: random.Random, trials: int, dims) -> list[dict]:
     failures = []
-    for i in range(cfg.trials):
+    for i in range(trials):
         d = dims[i % len(dims)]
         a, b, l = random_reduce_instance(rng, d)
         problems = reduce_properties_hold(a, b, l)
         if problems:
             failures.append({"trial": i, "d": d, "problems": problems, "a": a.to_json()})
-    checks = [_check("reduce_postconditions", failures, {"trials": cfg.trials})]
-
     square = PointSet.of(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     a2, _, _ = reduce_lines(square, PointSet.of(2, [(0, 0)]), Direction.of((0, 1)))
     want = PointSet.of(2, [(0, 0), (0, 1), (0, 2), (1, 0)])
-    checks.append(
-        _check("reduce_square_example", [] if a2 == want else [{"got": a2.to_json()}])
-    )
-    return checks
+    return [
+        _check("reduce_postconditions", failures, {"trials": trials}),
+        _check("reduce_square_example", [] if a2 == want else [{"got": a2.to_json()}]),
+    ]
+
+
+def suite_reduce(cfg: VerifySuite) -> list[dict]:
+    dims = [d for d in cfg.dims if d in (2, 3)] or [2, 3]
+    return reduce_checks(search._seeded_rng(f"{cfg.seed}:reduce"), cfg.trials, dims)
 
 
 def suite_claims(cfg: VerifySuite) -> list[dict]:

@@ -8,19 +8,15 @@ from sumlab import PointSet
 
 
 def oracle_sum_count(points) -> int:
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    return len({tuple(a + b for a, b in zip(p, q)) for p in pts for q in pts})
+    return len(oracle_pair_sums(points, points))
 
 
 def oracle_diff_count(points) -> int:
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    return len({tuple(a - b for a, b in zip(p, q)) for p in pts for q in pts})
+    return len(oracle_pair_diffs(points, points))
 
 
 def oracle_pair_sum_count(a_points, b_points) -> int:
-    pa = [tuple(Fraction(c) for c in p) for p in a_points]
-    pb = [tuple(Fraction(c) for c in p) for p in b_points]
-    return len({tuple(x + y for x, y in zip(p, q)) for p in pa for q in pb})
+    return len(oracle_pair_sums(a_points, b_points))
 
 
 def oracle_pair_sums(a_points, b_points) -> tuple:

@@ -1,5 +1,7 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
+Criteria 1-5, 7 and 8 run the checks of `sumlab.verify` with their own seeds,
+trial counts and dims, and add the checks that are theirs alone.
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside the pytest verdicts.
 """
@@ -10,27 +12,20 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 from sumlab import (
-    CompressionSpec,
     Direction,
     PointSet,
     SearchSpec,
     check_claim,
-    compress_pair,
-    difference_set,
     exhaustive_min_diff,
-    freiman_aps,
     line_partition,
     min_line_cover,
     random_probe,
-    reduce,
     stan_doubling_tight,
-    stanchescu_dk,
     sumset,
 )
 from sumlab.cli import cli_dispatch
 from sumlab.search import EXHAUSTIVE, RANDOM
-from sumlab.compression import reduce_properties_hold
-from sumlab.verify import random_compression_instance, random_reduce_instance
+from sumlab.verify import VerifySuite, compression_checks, reduce_checks, verify_battery
 
 
 def report(cid: str, failures: list, detail: str = "") -> None:
@@ -39,15 +34,18 @@ def report(cid: str, failures: list, detail: str = "") -> None:
     print(f"ACCEPTANCE {cid}: {status}{suffix}")
 
 
+def verify_failures(suite: str, name: str, dims: tuple) -> list:
+    """The failures of one deterministic `sumlab verify` check, which reads no seed or trial count."""
+    checks = verify_battery(VerifySuite(suite, trials=1, seed=0, dims=dims))["checks"]
+    return next(c["failures"] for c in checks if c["name"] == name)
+
+
+def all_failures(checks: list[dict]) -> list:
+    return [f for check in checks for f in check["failures"]]
+
+
 def test_criterion_1_stanchescu_difference_identity():
-    failures = []
-    for d in (2, 3, 4, 5):
-        for k in range(1, 7):
-            a = stanchescu_dk(d, k)
-            want = (2 * d - 2 + Fraction(1, d - 1)) * (2 * (d - 1) * k) - (2 * d * d - 4 * d + 3)
-            got = len(difference_set(a, a))
-            if got != want:
-                failures.append({"d": d, "k": k, "got": got, "want": str(want)})
+    failures = verify_failures("constructions", "stanchescu_difference_identity", (2, 3, 4, 5))
     report("criterion 1 (construction difference identity)", failures)
     assert not failures
 
@@ -57,21 +55,15 @@ def test_criterion_2_stan_doubling_tightness():
     # min(n,3) + d - 2 parallel lines: exactly d at n = 2, more from n = 3.
     # So from n = 3 the claim's d-line conclusion fails at the threshold
     # itself, with the hypothesis (doubling strictly below it) missed by
-    # equality alone: the threshold cannot be raised.
-    failures = []
+    # equality alone: the threshold cannot be raised. The verify check holds
+    # the identity and the cover above d from n = 3.
+    failures = verify_failures("constructions", "stan_doubling_identity_and_cover", (3, 4))
     for d in (3, 4):
         for n in range(2, 7):
             a = stan_doubling_tight(d, n)
-            want = (d + Fraction(4, 3)) * len(a) - Fraction(3 * d * d + 5 * d + 8, 6)
-            got = len(sumset(a, a))
-            if got != want:
-                failures.append({"d": d, "n": n, "kind": "identity", "got": got})
             _, cover = min_line_cover(a)
             if cover != min(n, 3) + d - 2:
                 failures.append({"d": d, "n": n, "kind": "cover formula", "cover": cover})
-            if n >= 3:
-                if not cover > d:
-                    failures.append({"d": d, "n": n, "kind": "cover", "cover": cover})
             claim = check_claim("STAN_DOUBLING", a)
             if claim.hypothesis_holds or claim.conclusion_holds != (n < 3):
                 failures.append({"d": d, "n": n, "kind": "claim", "report": claim.to_json()})
@@ -80,47 +72,20 @@ def test_criterion_2_stan_doubling_tightness():
 
 
 def test_criterion_3_freiman_tightness():
-    failures = []
-    for d in (1, 2, 3):
-        for length in range(1, 7):
-            a = freiman_aps(d, (length,) * d)
-            want = (d + 1) * len(a) - Fraction(d * (d + 1), 2)
-            got = len(sumset(a, a))
-            if got != want:
-                failures.append({"d": d, "length": length, "got": got, "want": str(want)})
+    # the check builds freiman_aps(d, (length,) * d) for d = 1, 2, 3 whatever the dims
+    failures = verify_failures("constructions", "freiman_equality", (2,))
     report("criterion 3 (Freiman equality)", failures)
     assert not failures
 
 
 def test_criterion_4_compression_monotonicity():
-    rng = random.Random(20240)
-    failures = []
-    for i in range(1000):
-        d = 2 if i % 2 == 0 else 3
-        a, b, spec = random_compression_instance(rng, d)
-        pa, pb = compress_pair(a, b, spec)
-        if len(pa) != len(a) or len(pb) != len(b):
-            failures.append({"trial": i, "kind": "cardinality"})
-        elif len(sumset(pa, pb)) > len(sumset(a, b)):
-            failures.append({"trial": i, "kind": "monotonicity", "a": a.to_json(), "b": b.to_json()})
+    failures = all_failures(compression_checks(random.Random(20240), 1000, (2, 3)))
     report("criterion 4 (compression monotonicity, 1000 trials)", failures)
     assert not failures
 
 
 def test_criterion_5_reduction_postconditions():
-    rng = random.Random(20241)
-    failures = []
-    for i in range(500):
-        d = 2 if i % 2 == 0 else 3
-        a, b, l = random_reduce_instance(rng, d)
-        problems = reduce_properties_hold(a, b, l)
-        if problems:
-            failures.append({"trial": i, "d": d, "problems": problems})
-    square = PointSet.of(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    a2, _, _ = reduce(square, PointSet.of(2, [(0, 0)]), Direction.of((0, 1)))
-    expected = PointSet.of(2, [(0, 0), (0, 1), (0, 2), (1, 0)])
-    if a2 != expected:
-        failures.append({"kind": "square example", "got": a2.to_json()})
+    failures = all_failures(reduce_checks(random.Random(20241), 500, (2, 3)))
     report("criterion 5 (reduction postconditions, 500 trials)", failures)
     assert not failures
 
@@ -147,31 +112,18 @@ def test_criterion_6_grynkiewicz_serra():
 
 
 def test_criterion_7_exhaustive_oracle():
-    failures = []
+    # the verify check pins the minima 9 (n = 4) and 7 (n = 3) and the parity of pruning on and off
+    failures = verify_failures("search", "exhaustive_fixtures", (2,))
     spec4 = SearchSpec(2, 4, (3, 3), EXHAUSTIVE, seed=0, require_full_dim=True)
-    with_prune = exhaustive_min_diff(spec4, prune=True)
-    without = exhaustive_min_diff(spec4, prune=False)
-    if with_prune.best_value != 9:
-        failures.append({"kind": "n=4 minimum", "got": with_prune.best_value})
     unit_square = PointSet.of(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    if unit_square not in with_prune.witnesses:
+    if unit_square not in exhaustive_min_diff(spec4, prune=True).witnesses:
         failures.append({"kind": "n=4 witness missing"})
-    if (with_prune.best_value, with_prune.witnesses) != (without.best_value, without.witnesses):
-        failures.append({"kind": "prune parity n=4"})
-
-    spec3 = SearchSpec(2, 3, (2, 2), EXHAUSTIVE, seed=0, require_full_dim=True)
-    r3p = exhaustive_min_diff(spec3, prune=True)
-    r3n = exhaustive_min_diff(spec3, prune=False)
-    if r3p.best_value != 7:
-        failures.append({"kind": "n=3 minimum", "got": r3p.best_value})
-    if (r3p.best_value, r3p.witnesses) != (r3n.best_value, r3n.witnesses):
-        failures.append({"kind": "prune parity n=3"})
     report("criterion 7 (exhaustive oracle, d=2)", failures)
     assert not failures
 
 
 def test_criterion_8_conjecture_consistency():
-    failures = []
+    failures = verify_failures("claims", "main_margin_zero_on_stanchescu", (2, 3, 4, 5))
     for d in (2, 3):
         for n in (8, 12):
             spec = SearchSpec(
@@ -181,11 +133,6 @@ def test_criterion_8_conjecture_consistency():
             result = random_probe(spec)
             if result.violations:
                 failures.append({"d": d, "n": n, "violations": len(result.violations)})
-    for d in (2, 3, 4, 5):
-        for k in range(1, 7):
-            margin = check_claim("MAIN", stanchescu_dk(d, k), as_conjecture=True).margin
-            if margin != 0:
-                failures.append({"d": d, "k": k, "margin": str(margin)})
     report("criterion 8 (conjecture consistency, 1000 trials/config)", failures)
     assert not failures
 

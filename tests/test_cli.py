@@ -164,6 +164,15 @@ def test_bounds_low_dimension_is_input_error(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    # exit 1 means a counterexample, so a report that cannot be written is an input error
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    code, out = run_cli(["bounds", "--claim", "MAIN", "--d", "3", "--n", "10", "--out", str(target)])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "no").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
