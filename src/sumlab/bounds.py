@@ -65,9 +65,12 @@ class ClaimReport:
 
 
 def asym_error_constant(d: int) -> int:
-    """(d+2)^(2^d - 2), the additive error term of the asymmetric covering claim."""
+    """(d+2)^(2^d - 2), the additive error term of the asymmetric covering claim, for 2 <= d <= 11
+    (at d = 12 it has 4,693 digits, past CPython's int-to-text limit, and the digits double with d)."""
     if d < 2:
         raise ValueError("need d >= 2")
+    if d >= 12:
+        raise ValueError(f"ASYM_THM's error constant (d+2)^(2^d - 2) is computed for d <= 11 only; got d = {d}")
     return (d + 2) ** (2**d - 2)
 
 
@@ -113,6 +116,9 @@ def bound_value(claim: str, **params) -> Fraction:
         check_domain(claim, p["d"])
     elif p.get("d") is not None and p["d"] < low:
         raise ValueError(f"{claim} needs dimension d >= {low}; got d = {p['d']}")
+    for name, least in (("n", 1), ("m", 1), ("r1", 1), ("r2", 1), ("a1", 0)):
+        if p.get(name) is not None and p[name] < least:
+            raise ValueError(f"{claim} needs {name} >= {least}; got {name} = {p[name]}")
     if claim in ("FREIMAN_SUM", "FHU_DIFF"):
         d, n = _need(p, "d", "n")
         return Fraction((d + 1) * n) - Fraction(d * (d + 1), 2)

@@ -16,8 +16,8 @@ from fractions import Fraction
 from .incidence import Direction, Hyperplane, _dot, _group, _shadow, _shadow_keys, line_partition
 from .linalg import affine_basis
 from .pointset import (
-    AffineMap, Point, PointSet, _coerce_coord, _from_integers, _json_fields, _point, _scaled, affine_dimension,
-    apply_affine, parse_rational, sumset_count, unit,
+    AffineMap, Point, PointSet, _from_integers, _json_fields, _scaled, affine_dimension, apply_affine, coerce_point,
+    sumset_count, unit,
 )
 
 
@@ -158,17 +158,6 @@ class CompressionTrace:
         if not isinstance(raw_steps, list):
             raise ValueError(f"'steps' must be a list of steps, got {raw_steps!r}")
         affine = obj.get("initial_affine")
-        parsed: dict[str, Fraction] = {}
-
-        def coord(c) -> Fraction:
-            # a trace repeats few distinct numbers many times: parse each text once
-            if isinstance(c, str):
-                value = parsed.get(c)
-                if value is None:
-                    value = parsed[c] = parse_rational(c)
-                return value
-            return _coerce_coord(c)
-
         steps = []
         for raw in raw_steps:
             spec = CompressionSpec.from_json(raw)
@@ -176,7 +165,7 @@ class CompressionTrace:
             (pairs,) = _json_fields(raw, "compression step", "map")
             if not isinstance(pairs, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
                 raise ValueError(f"'map' must be a list of [point, image] pairs, got {pairs!r}")
-            mapping = tuple((_point(pre, dim, coord), _point(post, dim, coord)) for pre, post in pairs)
+            mapping = tuple((coerce_point(pre, dim), coerce_point(post, dim)) for pre, post in pairs)
             if not len(mapping) == len({p for p, _ in mapping}) == len({q for _, q in mapping}):
                 raise ValueError("a trace step must map distinct points to distinct images, or replay shrinks the set")
             steps.append(TraceStep(spec, mapping))

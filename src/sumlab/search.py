@@ -317,7 +317,8 @@ def random_probe(spec: SearchSpec) -> SearchResult:
         raise ValueError("random_probe needs a RANDOM spec")
     uniform = len(set(spec.box)) == 1
     best = None
-    witnesses: set[tuple[IntPoint, ...]] = set()
+    # the samples that attain best, canonicalised once best is final
+    samples: list[list[IntPoint]] = []
     violations: list[ClaimReport] = []
     examined = 0
     for trial in range(spec.trials):
@@ -334,11 +335,11 @@ def random_probe(spec: SearchSpec) -> SearchResult:
         value = diff_count(pts)
         if best is None or value < best:
             best = value
-            witnesses.clear()
+            samples.clear()
         if value == best:
-            witnesses.add(canonical_form(pts, uniform))
+            samples.append(pts)
         if spec.claim is not None:
             report = _check_candidate_claim(spec, pts, rng)
             if report.verdict == COUNTEREXAMPLE:
                 violations.append(report)
-    return _search_result(spec, best, witnesses, examined, violations)
+    return _search_result(spec, best, {canonical_form(pts, uniform) for pts in samples}, examined, violations)

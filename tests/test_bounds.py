@@ -49,12 +49,40 @@ def test_asym_error_constant():
     assert asym_error_constant(3) == 15625
     with pytest.raises(ValueError, match="need d >= 2"):
         asym_error_constant(1)
+    assert len(str(asym_error_constant(11))) == 2280
+    # (d+2)^(2^d - 2) at d = 12 has 4,693 digits, past CPython's int-to-text limit
+    with pytest.raises(ValueError, match="computed for d <= 11 only; got d = 12$"):
+        asym_error_constant(12)
 
 
 @pytest.mark.parametrize("given, missing", [(dict(eps=Fraction(1, 2)), "c_d"), (dict(c_d=3), "eps")])
 def test_lines_4d_refuses_half_of_its_constant_pair(given, missing):
     with pytest.raises(ValueError, match=f"LINES_4D takes eps and c_d together; missing {missing}$"):
         bound_value("LINES_4D", d=3, n=10, **given)
+
+
+@pytest.mark.parametrize(
+    "claim, params, name, least",
+    [
+        ("GS_LINES", dict(n=4, r1=0, m=2, r2=1), "r1", 1),
+        ("GS_LINES", dict(n=4, r1=-1, m=2, r2=1), "r1", 1),
+        ("GS_LINES", dict(n=4, r1=1, m=2, r2=0), "r2", 1),
+        ("GS_LINES", dict(n=4, r1=1, m=0, r2=1), "m", 1),
+        ("MAIN", dict(d=3, n=-5), "n", 1),
+        ("FHU_DIFF", dict(d=2, n=0), "n", 1),
+        ("RUZSA_ASYM", dict(d=2, n=3, m=-1), "m", 1),
+        ("TWOPLANES_1", dict(d=3, n=4, a1=-1), "a1", 0),
+    ],
+)
+def test_bound_value_rejects_impossible_counts(claim, params, name, least):
+    # GS_LINES divides by r1 and r2, and no other formula has a meaning at these counts either
+    with pytest.raises(ValueError, match=f"^{claim} needs {name} >= {least}; got {name} = {params[name]}$"):
+        bound_value(claim, **params)
+
+
+def test_bound_value_takes_an_empty_first_slice():
+    # check_claim passes a1 = 0 for TWOPLANES_1 when A has no first slice
+    assert bound_value("TWOPLANES_1", d=3, n=4, a1=0) == 7
 
 
 def test_bound_value_missing_params():

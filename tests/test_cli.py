@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -155,13 +156,31 @@ def test_bounds_rejects_lax_rationals(flag, value):
         ["--claim", "TWOPLANES_1", "--d", "1", "--n", "5", "--a1", "2"],
         ["--claim", "DLINES", "--d", "0", "--n", "5"],
         ["--claim", "LINES_4D", "--d", "1", "--n", "5", "--eps", "1/2", "--cd", "3"],
+        # GS_LINES divides by r1: a zero count must not surface as a ZeroDivisionError
+        ["--claim", "GS_LINES", "--n", "4", "--r1", "0", "--m", "2", "--r2", "1"],
+        ["--claim", "GS_LINES", "--n", "4", "--r1", "-1", "--m", "2", "--r2", "1"],
+        ["--claim", "MAIN", "--d", "3", "--n", "-5"],
+        ["--claim", "TWOPLANES_1", "--d", "3", "--n", "5", "--a1", "-1"],
+        # (d+2)^(2^d - 2) has 4,693 digits at d = 12, past CPython's int-to-text limit
+        ["--claim", "ASYM_THM", "--d", "12", "--n", "4", "--m", "2"],
     ],
-    ids=["TWOPLANES_1-d1", "DLINES-d0", "LINES_4D-d1"],
+    ids=["TWOPLANES_1-d1", "DLINES-d0", "LINES_4D-d1", "GS_LINES-r1-0", "GS_LINES-r1-neg", "MAIN-n-neg",
+         "TWOPLANES_1-a1-neg", "ASYM_THM-d12"],
 )
 def test_bounds_low_dimension_is_input_error(capsys, argv):
     code, out = run_cli(["bounds", *argv])
     assert code == 3 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_asym_error_constant_is_refused_before_it_is_formed(capsys):
+    # at d = 40 the constant has about 1.8e12 digits: forming it would never return
+    start = time.perf_counter()
+    code, out = run_cli(["bounds", "--claim", "ASYM_THM", "--d", "40", "--n", "4", "--m", "2"])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err == "error: ASYM_THM's error constant (d+2)^(2^d - 2) is computed for d <= 11 only; got d = 40\n"
+    assert time.perf_counter() - start < 5
 
 
 def test_unwritable_out_is_input_error(tmp_path, capsys):

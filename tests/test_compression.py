@@ -20,6 +20,7 @@ from sumlab import (
 )
 from sumlab.incidence import project_along
 from sumlab.compression import TraceStep, reduce_properties_hold
+from sumlab.pointset import parse_rational
 from sumlab.verify import random_compression_instance, random_reduce_instance
 from conftest import oracle_pair_sum_count, pset
 
@@ -302,6 +303,14 @@ TRACE_DEFECTS = {
     "missing-normal": lambda t: t["steps"][0]["hyperplane"].pop("normal"),
     "missing-vec": lambda t: t["steps"][0]["direction"].pop("vec"),
 }
+# bad number text in a map entry: the first coordinate of the image of (1, 0)
+NUMBER_DEFECTS = {
+    "decimal": "0.5", "newline": "1\n", "plus": "+1", "zero-denominator": "1/0", "float": 1.0, "bool": True,
+}
+TRACE_DEFECTS.update(
+    (f"map-number-{name}", lambda t, value=value: t["steps"][0]["map"][2][1].__setitem__(0, value))
+    for name, value in NUMBER_DEFECTS.items()
+)
 
 
 def test_trace_fixture_replays():
@@ -317,6 +326,23 @@ def test_trace_from_json_rejects_defect(defect):
     TRACE_DEFECTS[defect](blob)
     with pytest.raises(ValueError):
         CompressionTrace.from_json(blob)
+
+
+def test_repeated_number_text_reads_alike():
+    # number text is read through one memoized parser: a good text reads equal every time, a bad
+    # one raises every time, and a cached "1" lets no spelling of it with a space through
+    first = CompressionTrace.from_json(_corner_trace_json())
+    assert CompressionTrace.from_json(_corner_trace_json()) == first
+    assert parse_rational("1") == parse_rational("1") == Fraction(1)
+    assert parse_rational("-3/6") == parse_rational("-3/6") == Fraction(-1, 2)
+    for text in ["1 ", " 1", "1/0", "0.5"]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                parse_rational(text)
+            blob = _corner_trace_json()
+            blob["steps"][0]["map"][2][1][0] = text
+            with pytest.raises(ValueError):
+                CompressionTrace.from_json(blob)
 
 
 def test_trace_step_rejects_points_of_another_dimension():

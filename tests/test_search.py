@@ -325,6 +325,17 @@ def test_random_probe_deterministic():
     assert r1.candidates_examined == 50
 
 
+def test_random_probe_canonicalises_only_final_ties(monkeypatch):
+    # a trial that ties a running best that a later trial beats is never canonicalised: 1 call
+    # here, where canonicalising every tie of the running best would make 6
+    calls, values = [], []
+    monkeypatch.setattr(search, "canonical_form", lambda pts, u: calls.append(1) or canonical_form(pts, u))
+    monkeypatch.setattr(search, "diff_count", lambda pts: values.append(diff_count(pts)) or values[-1])
+    result = random_probe(SearchSpec(2, 6, (4, 4), RANDOM, seed=1, trials=40))
+    assert len(values) == 40
+    assert len(calls) == values.count(result.best_value) == len(result.witnesses)
+
+
 def test_random_probe_seed_sensitivity():
     base = dict(d=2, n=6, box=(4, 4), mode=RANDOM, trials=40)
     r1 = random_probe(SearchSpec(seed=1, **base))
