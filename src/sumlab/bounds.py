@@ -67,10 +67,7 @@ class ClaimReport:
 def asym_error_constant(d: int) -> int:
     """(d+2)^(2^d - 2), the additive error term of the asymmetric covering claim, for 2 <= d <= 11
     (at d = 12 it has 4,693 digits, past CPython's int-to-text limit, and the digits double with d)."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    if d >= 12:
-        raise ValueError(f"ASYM_THM's error constant (d+2)^(2^d - 2) is computed for d <= 11 only; got d = {d}")
+    check_domain("ASYM_THM", d)
     return (d + 2) ** (2**d - 2)
 
 
@@ -100,22 +97,17 @@ def _need(params: dict, *names: str) -> list:
 def bound_value(claim: str, **params) -> Fraction:
     """Exact rational value of a claim's bound formula.
 
-    Parameters by name: d (dimension), n (|A|), m (|B|), r1, r2 (line counts),
-    a1 (|A_1|), eps and c_d (the two user-supplied constants of LINES_4D, both or neither).
+    Parameters by name: d (dimension, held to check_domain when given; the planar formulas omit it),
+    n (|A|), m (|B|), r1, r2 (line counts), a1 (|A_1|), eps and c_d (LINES_4D's two constants, both or neither).
     For the sqrt-threshold claims ASYM_THM and LEMMA_BASE_2D the returned
     value is the rational part only; the full strict comparison, which
     subtracts `_radical_coefficient` * sqrt(n), lives in below_sqrt_threshold.
     """
-    if claim not in CLAIM_IDS:
-        raise ValueError(f"unknown claim {claim!r}")
     p = params
-    # the planar claims' formulas do not take d, but a given d must be 2; every other
-    # formula needs d >= 1, or >= 2
-    low = 2 if claim in _NEEDS_D2 else 1
-    if claim in _PLANAR and p.get("d") is not None:
+    if p.get("d") is not None:
         check_domain(claim, p["d"])
-    elif p.get("d") is not None and p["d"] < low:
-        raise ValueError(f"{claim} needs dimension d >= {low}; got d = {p['d']}")
+    elif claim not in CLAIM_IDS:
+        raise ValueError(f"unknown claim {claim!r}")
     for name, least in (("n", 1), ("m", 1), ("r1", 1), ("r2", 1), ("a1", 0)):
         if p.get(name) is not None and p[name] < least:
             raise ValueError(f"{claim} needs {name} >= {least}; got {name} = {p[name]}")
@@ -169,13 +161,16 @@ _NEEDS_D2 = {"MAIN", "STAN_DOUBLING", "ASYM_THM", "DLINES", "TWOPLANES_1", "LINE
 
 
 def check_domain(claim: str, d: int) -> None:
-    """Raise ValueError unless claim is a catalog claim stated in ambient dimension d."""
+    """Raise ValueError unless claim is a catalog claim stated, and evaluable, in ambient dimension d."""
     if claim not in CLAIM_IDS:
         raise ValueError(f"unknown claim {claim!r}")
     if claim in _PLANAR and d != 2:
         raise ValueError(f"{claim} is a planar claim; got d = {d}")
-    if claim in _NEEDS_D2 and d < 2:
-        raise ValueError(f"{claim} needs ambient dimension >= 2; got d = {d}")
+    low = 2 if claim in _NEEDS_D2 else 1
+    if d < low:
+        raise ValueError(f"{claim} needs ambient dimension >= {low}; got d = {d}")
+    if claim == "ASYM_THM" and d > 11:
+        raise ValueError(f"ASYM_THM's error constant (d+2)^(2^d - 2) is computed for d <= 11 only; got d = {d}")
 
 
 def check_claim(

@@ -35,7 +35,7 @@ from .pointset import (
     sumset,
     sumset_count,
 )
-from .search import EXHAUSTIVE, RANDOM, BudgetExceededError, SearchSpec, exhaustive_min_diff, random_probe
+from .search import EXHAUSTIVE, RANDOM, SearchSpec, exhaustive_min_diff, random_probe
 from .verify import SUITES, VerifySuite, verify_battery
 
 
@@ -72,10 +72,10 @@ def _emit(report: dict | str, args) -> None:
     if isinstance(report, str):
         text = report
     else:
-        if getattr(args, "timestamps", False):
+        if args.timestamps:
             report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         text = json.dumps(report, indent=2) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -160,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", choices=CLAIM_IDS)
     p.add_argument("--as-conjecture", action="store_true")
     p.add_argument("--require-full-dim", action="store_true")
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--budget", default=10**8)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
@@ -234,7 +233,7 @@ def _cmd_reduce(args, hashes) -> tuple[dict, int]:
         b = PointSet.of(a.dim, [(0,) * a.dim])
     a2, b2, trace = reduce_lines(a, b, Direction.of(_parse_ints(args.direction)))
     report_a, report_b = a2, b2
-    if args.denormalize and trace.initial_affine is not None:
+    if args.denormalize:
         inverse = trace.initial_affine.inverse
         report_a = apply_affine(a2, inverse)
         report_b = apply_affine(b2, inverse)
@@ -324,7 +323,7 @@ def _cmd_search(args, hashes) -> tuple[dict, int]:
         budget=args.budget,
     )
     if spec.mode == EXHAUSTIVE:
-        result = exhaustive_min_diff(spec, prune=not args.no_prune)
+        result = exhaustive_min_diff(spec)
     else:
         result = random_probe(spec)
     report = result.to_json()
@@ -371,7 +370,7 @@ def cli_dispatch(argv: list[str]) -> int:
         _parse_int_flags(args)
         report, code = _HANDLERS[args.command](args, hashes)
         _emit(report, args)
-    except (BudgetExceededError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     return code

@@ -286,7 +286,10 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
                 if axes | zeros[idx] == every_axis:
                     leaf(head + (idx,), size)
 
-    walk(0, (), 0, 0, 0)
+    try:
+        walk(0, (), 0, 0, 0)
+    except RecursionError:
+        raise ValueError(f"the exhaustive walk recurses once per point and cannot reach n = {spec.n}") from None
     if not witnesses:
         raise ValueError("no candidate subset satisfied the dimension requirement")
     # index order is lexicographic point order, so the first witnesses by index are the first by points

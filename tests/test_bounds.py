@@ -25,6 +25,7 @@ from sumlab import (
     stanchescu_dk,
     structure_diagnose,
 )
+from sumlab.bounds import check_domain
 from sumlab.search import EXHAUSTIVE, RANDOM
 from conftest import pset
 
@@ -47,7 +48,7 @@ def test_bound_values_spot():
 def test_asym_error_constant():
     assert asym_error_constant(2) == 16
     assert asym_error_constant(3) == 15625
-    with pytest.raises(ValueError, match="need d >= 2"):
+    with pytest.raises(ValueError, match="ASYM_THM needs ambient dimension >= 2; got d = 1"):
         asym_error_constant(1)
     assert len(str(asym_error_constant(11))) == 2280
     # (d+2)^(2^d - 2) at d = 12 has 4,693 digits, past CPython's int-to-text limit
@@ -106,7 +107,7 @@ def test_bound_value_missing_params():
 )
 def test_bound_value_rejects_low_dimension(claim, params, low):
     # a formula with 1/(d-1) or 2/d must not divide by zero, and none may evaluate below its dimension
-    with pytest.raises(ValueError, match=f"{claim} needs dimension d >= {low}; got d = {params['d']}"):
+    with pytest.raises(ValueError, match=f"{claim} needs ambient dimension >= {low}; got d = {params['d']}"):
         bound_value(claim, **params)
 
 
@@ -127,6 +128,24 @@ def test_bound_value_rejects_planar_claim_off_the_plane(claim, params):
         check_claim(claim, pset(params["d"], [(0,) * params["d"]]))
     planar = {k: v for k, v in params.items() if k != "d"}
     assert bound_value(claim, **planar, d=2) == bound_value(claim, **planar)
+
+
+@pytest.mark.parametrize("claim, d", [("FHU_DIFF", 0), ("MAIN", 1), ("ASYM_THM", 12)])
+def test_bound_value_refuses_as_check_domain_does(claim, d):
+    # one domain rule: a formula evaluated at a given d is refused exactly where check_claim would be
+    with pytest.raises(ValueError) as by_rule:
+        check_domain(claim, d)
+    with pytest.raises(ValueError) as by_formula:
+        bound_value(claim, d=d, n=5, m=2)
+    assert str(by_formula.value) == str(by_rule.value)
+
+
+def test_asym_thm_past_d11_is_refused_on_a_flat_set():
+    # the claim's constant cannot be formed past d = 11, so its hypothesis is never reached there
+    d = 12
+    flat = pset(d, [(0,) * d, (1,) + (0,) * (d - 1)])
+    with pytest.raises(ValueError, match="computed for d <= 11 only; got d = 12$"):
+        check_claim("ASYM_THM", flat, flat, Direction.of((1,) + (0,) * (d - 1)))
 
 
 def test_main_bound_monotone_in_n():

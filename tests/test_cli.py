@@ -183,6 +183,23 @@ def test_asym_error_constant_is_refused_before_it_is_formed(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_search_too_deep_is_input_error():
+    # exit 1 means a counterexample, so a walk deeper than the stack must be an input error, not a crash
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["search", "--mode", "exhaustive", "--d", "1", "--n", "1500", "--box", "1500", "--seed", "0"]
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "sumlab", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+    )
+    assert time.perf_counter() - start < 5
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+
+
 def test_unwritable_out_is_input_error(tmp_path, capsys):
     # exit 1 means a counterexample, so a report that cannot be written is an input error
     target = tmp_path / "no" / "such" / "dir" / "x.json"

@@ -317,6 +317,19 @@ def test_planar_claims_validated_upfront():
             SearchSpec(2, 3, (4, 4), mode, seed=0, trials=5, claim=claim)
 
 
+def test_asym_thm_past_d11_validated_upfront():
+    # ASYM_THM's constant cannot be formed past d = 11, so no trial may start there, in either mode
+    for mode in (RANDOM, EXHAUSTIVE):
+        with pytest.raises(ValueError, match="computed for d <= 11 only; got d = 12$"):
+            SearchSpec(12, 2, (1,) * 12, mode, seed=0, trials=5, claim="ASYM_THM")
+
+
+def test_exhaustive_walk_too_deep_is_refused():
+    # the budget admits comb(1501, 1500) subsets, but the walk recurses once per chosen point
+    with pytest.raises(ValueError, match="cannot reach n = 1500$"):
+        exhaustive_min_diff(SearchSpec(1, 1500, (1500,), EXHAUSTIVE, seed=0))
+
+
 def test_random_probe_deterministic():
     s = SearchSpec(3, 8, (4, 4, 4), RANDOM, seed=99, trials=50, require_full_dim=True)
     r1 = random_probe(s)
