@@ -1,7 +1,8 @@
 """Command-line surface: subcommands over the library with bit-stable JSON output.
 
 Exit codes: 0 success, 1 a claim counterexample was found (or a verify check
-failed), 2 usage error, 3 budget or input-validation error.
+failed), 2 usage error, 3 budget or input-validation error, 4 internal error
+(the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 
 from ._version import __version__
 from .bounds import (
@@ -173,22 +175,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _cmd_setops(args, hashes) -> tuple[dict, int]:
-    a = _load_pointset(args.input, hashes)
-    b = _load_pointset(args.b, hashes)
+def _cmd_setops(args, a, b) -> tuple[dict, int]:
     result = sumset(a, b) if args.command == "sum" else difference_set(a, b)
-    report = result.to_json()
-    report["meta"] = _provenance(hashes)
-    return report, 0
+    return result.to_json(), 0
 
 
-def _cmd_dim(args, hashes) -> tuple[dict, int]:
-    a = _load_pointset(args.input, hashes)
-    return {"ambient": a.dim, "affine_dimension": affine_dimension(a), "meta": _provenance(hashes)}, 0
+def _cmd_dim(args, a, b) -> tuple[dict, int]:
+    return {"ambient": a.dim, "affine_dimension": affine_dimension(a)}, 0
 
 
-def _cmd_lines(args, hashes) -> tuple[dict, int]:
-    a = _load_pointset(args.input, hashes)
+def _cmd_lines(args, a, b) -> tuple[dict, int]:
     if args.direction:
         part = line_partition(a, Direction.of(_parse_ints(args.direction)))
         report = {
@@ -199,12 +195,10 @@ def _cmd_lines(args, hashes) -> tuple[dict, int]:
     else:
         direction, count = min_line_cover(a)
         report = {"direction": direction.to_json(), "count": count}
-    report["meta"] = _provenance(hashes)
     return report, 0
 
 
-def _cmd_compress(args, hashes) -> tuple[dict, int]:
-    a = _load_pointset(args.input, hashes)
+def _cmd_compress(args, a, b) -> tuple[dict, int]:
     spec = CompressionSpec(
         Hyperplane.of(_parse_ints(args.normal), args.offset),
         Direction.of(_parse_ints(args.direction)),
@@ -215,21 +209,16 @@ def _cmd_compress(args, hashes) -> tuple[dict, int]:
         "result": image.to_json(),
         "map": TraceStep(spec, tuple(mapping.items())).to_json()["map"],
     }
-    if args.b:
-        b = _load_pointset(args.b, hashes)
+    if b is not None:
         b_image = compress(b, spec)[0]
         report["b_result"] = b_image.to_json()
         report["sum_before"] = sumset_count(a, b)
         report["sum_after"] = sumset_count(image, b_image)
-    report["meta"] = _provenance(hashes)
     return report, 0
 
 
-def _cmd_reduce(args, hashes) -> tuple[dict, int]:
-    a = _load_pointset(args.input, hashes)
-    if args.b:
-        b = _load_pointset(args.b, hashes)
-    else:
+def _cmd_reduce(args, a, b) -> tuple[dict, int]:
+    if b is None:
         b = PointSet.of(a.dim, [(0,) * a.dim])
     a2, b2, trace = reduce_lines(a, b, Direction.of(_parse_ints(args.direction)))
     report_a, report_b = a2, b2
@@ -242,12 +231,11 @@ def _cmd_reduce(args, hashes) -> tuple[dict, int]:
         "b": report_b.to_json(),
         "normalized_frame": not args.denormalize,
         "trace": trace.to_json(),
-        "meta": _provenance(hashes),
     }
     return report, 0
 
 
-def _cmd_construct(args, hashes) -> tuple[dict, int]:
+def _cmd_construct(args, a, b) -> tuple[dict, int]:
     builder, wanted = CONSTRUCTIONS[args.name]
     params = {}
     for key in wanted:
@@ -261,7 +249,7 @@ def _cmd_construct(args, hashes) -> tuple[dict, int]:
     return report, 0
 
 
-def _cmd_bounds(args, hashes) -> tuple[dict, int]:
+def _cmd_bounds(args, a, b) -> tuple[dict, int]:
     params = {
         "d": args.d,
         "n": args.n,
@@ -283,13 +271,10 @@ def _cmd_bounds(args, hashes) -> tuple[dict, int]:
         report["subtracted_radical"] = {"coefficient": str(coefficient), "sqrt_of": "n"}
     if args.claim == "ASYM_THM":
         report["error_constant"] = str(asym_error_constant(args.d))
-    report["meta"] = _provenance(hashes)
     return report, 0
 
 
-def _cmd_claims(args, hashes) -> tuple[dict | str, int]:
-    a = _load_pointset(args.input, hashes)
-    b = _load_pointset(args.b, hashes) if args.b else None
+def _cmd_claims(args, a, b) -> tuple[dict | str, int]:
     l = Direction.of(_parse_ints(args.direction)) if args.direction else None
     report = check_claim(args.claim, a, b, l, as_conjecture=args.as_conjecture)
     code = 1 if report.verdict == COUNTEREXAMPLE else 0
@@ -299,12 +284,10 @@ def _cmd_claims(args, hashes) -> tuple[dict | str, int]:
             f"{report.claim},{a.dim},{len(a)},{report.lhs},{report.rhs},{report.margin},{report.verdict}"
         )
         return "\n".join(lines) + "\n", code
-    out = report.to_json()
-    out["meta"] = _provenance(hashes)
-    return out, code
+    return report.to_json(), code
 
 
-def _cmd_search(args, hashes) -> tuple[dict, int]:
+def _cmd_search(args, a, b) -> tuple[dict, int]:
     if args.seed is None:
         raise ValueError("search requires --seed (no silent nondeterminism)")
     box = _parse_ints(args.box)
@@ -326,12 +309,10 @@ def _cmd_search(args, hashes) -> tuple[dict, int]:
         result = exhaustive_min_diff(spec)
     else:
         result = random_probe(spec)
-    report = result.to_json()
-    report["meta"] = _provenance(hashes)
-    return report, 1 if result.violations else 0
+    return result.to_json(), 1 if result.violations else 0
 
 
-def _cmd_verify(args, hashes) -> tuple[dict, int]:
+def _cmd_verify(args, a, b) -> tuple[dict, int]:
     if args.seed is None:
         raise ValueError("verify requires --seed (no silent nondeterminism)")
     cfg = VerifySuite(args.suite, args.trials, args.seed, _parse_ints(args.dims))
@@ -339,11 +320,8 @@ def _cmd_verify(args, hashes) -> tuple[dict, int]:
     return report, 0 if report["pass"] else 1
 
 
-def _cmd_diagnose(args, hashes) -> tuple[dict, int]:
-    a = _load_pointset(args.input, hashes)
-    report = structure_diagnose(a)
-    report["meta"] = _provenance(hashes)
-    return report, 0
+def _cmd_diagnose(args, a, b) -> tuple[dict, int]:
+    return structure_diagnose(a), 0
 
 
 _HANDLERS = {
@@ -368,11 +346,21 @@ def cli_dispatch(argv: list[str]) -> int:
     hashes: dict[str, str] = {}
     try:
         _parse_int_flags(args)
-        report, code = _HANDLERS[args.command](args, hashes)
+        # --input is read before --b, so input_sha256 lists them in that order
+        a = None if getattr(args, "input", None) is None else _load_pointset(args.input, hashes)
+        b = None if getattr(args, "b", None) is None else _load_pointset(args.b, hashes)
+        report, code = _HANDLERS[args.command](args, a, b)
+        # every JSON report records its inputs, except verify's, which reads no file
+        if isinstance(report, dict) and args.command != "verify":
+            report.setdefault("meta", _provenance(hashes))
         _emit(report, args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except Exception:
+        # a fault of sumlab itself, not of its input; exit 1 would read as a counterexample
+        traceback.print_exc()
+        return 4
     return code
 
 

@@ -100,12 +100,16 @@ class SearchSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.claim is not None:
             check_domain(self.claim, self.d)
+        if self.mode == EXHAUSTIVE and (self.claim in _NEEDS_B or self.claim in _NEEDS_L):
+            raise ValueError(f"claim {self.claim} needs operands exhaustive mode does not generate")
         if self.mode == RANDOM and (self.trials is None or self.trials < 1):
             raise ValueError("random mode needs trials >= 1")
         if self.n > self.volume():
             raise ValueError(f"cannot place {self.n} distinct points in a volume-{self.volume()} box")
         if self.require_full_dim and self.n <= self.d:
             raise ValueError(f"a {self.d}-dimensional set needs more than {self.d} points")
+        if self.require_full_dim and 0 in self.box:
+            raise ValueError(f"box extent 0 on axis {self.box.index(0)}: a flat box has no full-dimensional subset")
         if self.mode == EXHAUSTIVE and self.candidate_count() > self.budget:
             raise BudgetExceededError(self.candidate_count(), self.budget)
 
@@ -224,8 +228,6 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
         raise ValueError("exhaustive_min_diff needs an EXHAUSTIVE spec")
     if threads != 1:
         raise ValueError(f"the exhaustive walk runs in one process, so threads must be 1; got {threads}")
-    if spec.claim is not None and (spec.claim in _NEEDS_B or spec.claim in _NEEDS_L):
-        raise ValueError(f"claim {spec.claim} needs operands exhaustive mode does not generate")
     points = lattice_points(spec.box)
     # differences of box points have |δ_i| <= box[i], so distinct ones have distinct codes
     codes = _pack(points, [2 * m + 1 for m in spec.box])

@@ -30,6 +30,7 @@ from sumlab.search import EXHAUSTIVE, RANDOM
 from conftest import pset
 
 PLANAR = ("GS_LINES", "LEMMA_BASE_2D")
+NEEDS_OPERANDS = ("RUZSA_ASYM", "GS_LINES", "LEMMA_BASE_2D", "ASYM_THM", "TWOPLANES_1", "LINES_4D")
 
 
 def test_bound_values_spot():
@@ -91,6 +92,9 @@ def test_bound_value_missing_params():
         bound_value("MAIN", d=3)
     with pytest.raises(ValueError):
         bound_value("NOPE", d=3, n=4)
+    # without d the claim name is checked on its own
+    with pytest.raises(ValueError, match="^unknown claim 'NOPE'$"):
+        bound_value("NOPE", n=3)
 
 
 @pytest.mark.parametrize(
@@ -288,7 +292,11 @@ def test_claim_domain_matches_search(claim, d):
     a = _simplex(d)
     expected = outcome(lambda: check_claim(claim, a, a, Direction.of((1,) * d)))
     for mode in (EXHAUSTIVE, RANDOM):
-        assert outcome(lambda: SearchSpec(d, 2, (2,) * d, mode, seed=0, trials=1, claim=claim)) == expected
+        # exhaustive mode generates A alone, so its spec also refuses an in-domain claim on B or l
+        want = expected
+        if expected is None and mode == EXHAUSTIVE and claim in NEEDS_OPERANDS:
+            want = f"claim {claim} needs operands exhaustive mode does not generate"
+        assert outcome(lambda: SearchSpec(d, 2, (2,) * d, mode, seed=0, trials=1, claim=claim)) == want
     in_domain = (claim not in PLANAR or d == 2) and (d >= 2 or claim in ("FREIMAN_SUM", "FHU_DIFF", "RUZSA_ASYM"))
     assert (expected is None) == in_domain
 

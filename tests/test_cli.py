@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from sumlab import __version__
 from sumlab.cli import cli_dispatch
 
 
@@ -387,6 +389,21 @@ def test_claims_counterexample_exit_code(square, monkeypatch):
     assert code == 1
 
 
+def test_internal_error_exit_code(square, monkeypatch, capsys):
+    # exit 1 means a counterexample, so a fault inside sumlab, such as a failed postcondition,
+    # exits 4 and leaves its traceback on stderr
+    import sumlab.cli as cli
+
+    def broken(a):
+        raise RuntimeError("postcondition failed")
+
+    monkeypatch.setattr(cli, "structure_diagnose", broken)
+    code, out = run_cli(["diagnose", "--input", square])
+    assert (code, out) == (4, "")
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: postcondition failed\n")
+
+
 def test_search_cli():
     code, out = run_cli(
         ["search", "--mode", "exhaustive", "--d", "2", "--n", "4", "--box", "3",
@@ -521,6 +538,44 @@ def test_cli_matches_golden_report(name, monkeypatch):
     code, out = run_cli(GOLDEN_RUNS[name])
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (["sum", "--input", "inputs/a2.json", "--b", "inputs/b2.json"], ["inputs/a2.json", "inputs/b2.json"]),
+        # --input is read before --b whatever their order on the command line
+        (["sum", "--b", "inputs/b3.json", "--input", "inputs/a3.json"], ["inputs/a3.json", "inputs/b3.json"]),
+        (["dim", "--input", "inputs/a4.json"], ["inputs/a4.json"]),
+        (["bounds", "--claim", "MAIN", "--d", "3", "--n", "10"], []),
+        (["claims", "--claim", "MAIN", "--input", "inputs/a3.json"], ["inputs/a3.json"]),
+        (
+            ["claims", "--claim", "RUZSA_ASYM", "--b", "inputs/b3.json", "--input", "inputs/a3.json"],
+            ["inputs/a3.json", "inputs/b3.json"],
+        ),
+    ],
+    ids=["sum", "sum-b-first", "dim", "bounds", "claims", "claims-b"],
+)
+def test_report_ends_on_its_provenance(argv, read, monkeypatch):
+    # the golden reports pin meta for the other subcommands that read files
+    monkeypatch.chdir(GOLDEN)
+    code, out = run_cli(argv)
+    blob = json.loads(out)
+    assert code == 0 and list(blob)[-1] == "meta"
+    hashes = {path: hashlib.sha256((GOLDEN / path).read_bytes()).hexdigest() for path in read}
+    assert blob["meta"] == {"version": __version__, "input_sha256": hashes}
+    assert list(blob["meta"]["input_sha256"]) == read
+
+
+def test_reports_without_input_provenance(square):
+    _, out = run_cli(["claims", "--claim", "FHU_DIFF", "--input", square, "--format", "csv"])
+    assert "meta" not in out and square not in out
+    _, out = run_cli(["verify", "--suite", "constructions", "--seed", "42", "--trials", "5"])
+    assert "meta" not in json.loads(out)
+    # construct reads no file and records how the set was built instead
+    _, out = run_cli(["construct", "stanchescu", "--d", "3", "--k", "2"])
+    meta = json.loads(out)["meta"]
+    assert meta == {"construction": "stanchescu", "params": {"d": 3, "k": 2}, "version": __version__}
 
 
 def test_diagnose(tmp_path):

@@ -165,12 +165,13 @@ def test_exhaustive_leaf_matches_subset_oracle(case):
             best, minimisers = value, []
         if value == best:
             minimisers.append(subset)
+    if best is None:
+        # no subset spans the space exactly when an axis is flat, and the spec refuses that box
+        with pytest.raises(ValueError, match="a flat box has no full-dimensional subset"):
+            SearchSpec(d, n, box, EXHAUSTIVE, seed=0, require_full_dim=full)
+        return
     s = SearchSpec(d, n, box, EXHAUSTIVE, seed=0, require_full_dim=full)
     for prune in (True, False):
-        if best is None:
-            with pytest.raises(ValueError, match="dimension requirement"):
-                exhaustive_min_diff(s, prune=prune)
-            continue
         result = exhaustive_min_diff(s, prune=prune)
         assert result.best_value == best
         assert [w.points for w in result.witnesses] == minimisers[:32]
@@ -300,10 +301,14 @@ def test_spec_validation():
 
 
 def test_exhaustive_degenerate_box_with_full_dim():
-    # every point of the box lies on one line, so no full-dimensional subset exists
-    s = SearchSpec(2, 3, (0, 5), EXHAUSTIVE, seed=0, require_full_dim=True)
-    with pytest.raises(ValueError):
-        exhaustive_min_diff(s)
+    # every point of the box lies on one line, so no full-dimensional subset exists: the spec is
+    # refused before any walk, in both modes
+    message = "^box extent 0 on axis 0: a flat box has no full-dimensional subset$"
+    for mode in (EXHAUSTIVE, RANDOM):
+        with pytest.raises(ValueError, match=message):
+            SearchSpec(2, 3, (0, 5), mode, seed=0, trials=5, require_full_dim=True)
+    with pytest.raises(ValueError, match="box extent 0 on axis 2"):
+        SearchSpec(3, 6, (4, 4, 0), EXHAUSTIVE, seed=0, require_full_dim=True)
 
 
 def test_planar_claims_validated_upfront():
@@ -314,7 +319,9 @@ def test_planar_claims_validated_upfront():
         for mode in (RANDOM, EXHAUSTIVE):
             with pytest.raises(ValueError, match=f"{claim} needs ambient dimension >= 2; got d = 1"):
                 SearchSpec(1, 3, (4,), mode, seed=0, trials=5, claim=claim)
-            SearchSpec(2, 3, (4, 4), mode, seed=0, trials=5, claim=claim)
+            # exhaustive mode generates A alone, so it refuses the claims that take l
+            if mode == RANDOM or claim not in ("ASYM_THM", "TWOPLANES_1", "LINES_4D"):
+                SearchSpec(2, 3, (4, 4), mode, seed=0, trials=5, claim=claim)
 
 
 def test_asym_thm_past_d11_validated_upfront():
@@ -404,8 +411,12 @@ def test_random_probe_resamples_until_full_dimensional(monkeypatch):
     result = random_probe(SearchSpec(2, 3, (2, 1), RANDOM, seed=0, trials=40, require_full_dim=True))
     assert result.candidates_examined == 40 and len(ranks) == 55
     assert all(real(w.ints) == 2 for w in result.witnesses)
+    with pytest.raises(ValueError, match="box extent 0 on axis 1"):
+        SearchSpec(2, 3, (3, 0), RANDOM, seed=0, trials=40, require_full_dim=True)
+    # a box that is not flat still gives up after 500 draws that all fail to span the space
+    monkeypatch.setattr(search, "affine_rank", lambda pts: 0)
     with pytest.raises(ValueError, match="could not sample a full-dimensional subset"):
-        random_probe(SearchSpec(2, 3, (3, 0), RANDOM, seed=0, trials=40, require_full_dim=True))
+        random_probe(SearchSpec(2, 3, (3, 1), RANDOM, seed=0, trials=40, require_full_dim=True))
 
 
 def test_exhaustive_rejects_pair_claims():
