@@ -16,7 +16,7 @@ from fractions import Fraction
 from .incidence import Direction, Hyperplane, _dot, _group, _shadow, _shadow_keys, line_partition
 from .linalg import affine_basis
 from .pointset import (
-    AffineMap, Point, PointSet, _from_integers, _json_fields, _scaled, affine_dimension, apply_affine, coerce_point,
+    AffineMap, Point, PointSet, _from_integers, _json_fields, affine_dimension, apply_affine, coerce_point,
     sumset_count, unit,
 )
 
@@ -143,8 +143,8 @@ class CompressionTrace:
                 pts = [lookup[p] for p in pts]
             except KeyError as exc:
                 raise ValueError("replay input does not match the recorded domain") from exc
-        # a step maps distinct points to distinct images, so no two points merge
-        return _from_integers(x.dim, *_scaled(pts))
+        # a step maps distinct points to distinct images; `of` checks the images of a hand-built step
+        return PointSet.of(x.dim, pts)
 
     def to_json(self) -> dict:
         return {

@@ -34,6 +34,12 @@ class Direction:
 
     vec: tuple[int, ...]
 
+    def __post_init__(self):
+        # refused, not rewritten: a raw vector that `of` would change compresses unlike its own JSON
+        vec = self.vec
+        if type(vec) is not tuple or any(type(x) is not int for x in vec) or _primitive_int(vec) != vec:
+            raise ValueError(f"raw direction {vec!r} is not a primitive int tuple with positive leading entry")
+
     @classmethod
     def of(cls, vec: Sequence) -> "Direction":
         return cls(_primitive(vec))

@@ -67,6 +67,13 @@ def coerce_point(coords: Sequence, dim: int | None = None) -> Point:
     return pt
 
 
+def _require_exact(values: Iterable, what: str) -> None:
+    """Refuse any value but an int or a Fraction, the values that have a least common denominator."""
+    bad = [c for c in values if type(c) not in (int, Fraction)]
+    if bad:
+        raise ValueError(f"{type(bad[0]).__name__} {what} {bad[0]!r} rejected; use int or Fraction")
+
+
 def _json_fields(obj, what: str, *keys: str) -> list:
     """[obj[key] for each key], raising ValueError unless obj is a JSON object holding every key."""
     if not isinstance(obj, dict) or any(key not in obj for key in keys):
@@ -98,22 +105,17 @@ class PointSet:
     ints: tuple[tuple[int, ...], ...]
 
     def __init__(self, dim: int, points: Sequence[Sequence]):
-        bad = next((p for p in points if len(p) != dim), None)
-        if bad is not None:
-            raise ValueError(f"point {bad} has length {len(bad)} in ambient dimension {dim}")
-        bad = [c for p in points for c in p if type(c) not in (int, Fraction)]
-        if bad:
-            raise ValueError(f"{type(bad[0]).__name__} coordinate {bad[0]!r} rejected; use int or Fraction")
+        _require_exact(chain.from_iterable(points), "coordinate")
         if any(map(ge, points, points[1:])):
             bad = next(q for p, q in zip(points, points[1:]) if p >= q)
             raise ValueError(f"points must be strictly increasing: {bad} repeats or follows a larger point")
-        scale, ints = _scaled(points)
-        self.__dict__.update(dim=dim, scale=scale, ints=tuple(ints))  # past the frozen __setattr__
+        self.__dict__.update(vars(PointSet.of(dim, points)))  # past the frozen __setattr__
 
     @classmethod
     def of(cls, dim: int, points: Iterable[Sequence]) -> "PointSet":
-        if dim < 1:
-            raise ValueError("ambient dimension must be positive")
+        """The one way in for outside points, each a list or tuple of dim int, Fraction or "p/q" coordinates."""
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise ValueError(f"bad dimension: {dim!r}")
         return _from_integers(dim, *_scaled([coerce_point(p, dim) for p in points]))
 
     @cached_property
@@ -147,8 +149,6 @@ class PointSet:
     @classmethod
     def from_json(cls, obj: dict) -> "PointSet":
         dim, points = _json_fields(obj, "point-set", "dim", "points")
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise ValueError(f"bad dimension: {dim!r}")
         if not isinstance(points, list):
             raise ValueError(f"'points' must be a list of points, got {points!r}")
         out = cls.of(dim, points)
@@ -158,13 +158,10 @@ class PointSet:
 
 
 def _from_integers(dim: int, scale: int, points: Iterable[tuple[int, ...]]) -> PointSet:
-    """The set of the distinct points / scale, for a positive integer scale: sorted, they are in
-    strictly increasing order, and dividing by their gcd with the scale leaves the least scale."""
+    """The set of the distinct points / scale, for a positive integer scale and integer points of
+    length dim, which it trusts: sorted, they are in strictly increasing order, and dividing by
+    their gcd with the scale leaves the least scale.  Points from outside enter through `PointSet.of`."""
     ints = sorted(set(points))
-    bad = next((p for p in ints if len(p) != dim), None)
-    if bad is not None:
-        bad_point = tuple(Fraction(x, scale) for x in bad)
-        raise ValueError(f"point {bad_point} has length {len(bad)} in ambient dimension {dim}")
     g = gcd(scale, *chain.from_iterable(ints)) if scale > 1 else 1
     if g > 1:
         scale //= g
@@ -303,9 +300,7 @@ class AffineMap:
         n = len(matrix)
         if n == 0 or any(len(row) != n for row in matrix) or len(translation) != n:
             raise ValueError("affine map needs a square matrix and a matching translation")
-        bad = [c for c in chain(*matrix, translation) if type(c) not in (int, Fraction)]
-        if bad:
-            raise ValueError(f"{type(bad[0]).__name__} entry {bad[0]!r} rejected; use int or Fraction")
+        _require_exact(chain(*matrix, translation), "entry")
         scale, (*rows, shift) = _scaled((*matrix, translation))
         if len(greedy_basis(rows)) < n:
             raise ValueError("singular matrix")

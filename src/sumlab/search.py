@@ -293,7 +293,8 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
     except RecursionError:
         raise ValueError(f"the exhaustive walk recurses once per point and cannot reach n = {spec.n}") from None
     if not witnesses:
-        raise ValueError("no candidate subset satisfied the dimension requirement")
+        # SearchSpec refuses every spec without a full-dimensional canonical n-subset, so this is a bug
+        raise RuntimeError("no candidate subset satisfied the dimension requirement")
     # index order is lexicographic point order, so the first witnesses by index are the first by points
     first = sorted(witnesses)[:WITNESS_CAP]
     return _search_result(spec, best, [tuple(points[i] for i in w) for w in first], examined, violations)

@@ -246,6 +246,14 @@ def test_trace_replay_and_serialization():
         current = image
 
 
+def test_replay_checks_the_images_of_a_hand_built_step():
+    # from_json checks a parsed map's lengths; a hand-built step's images are checked as replay builds its set
+    spec = CompressionSpec(H_Y0, E2)
+    step = TraceStep(spec, (((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0), Fraction(0))),))
+    with pytest.raises(ValueError, match="length 3 in ambient dimension 2"):
+        CompressionTrace((step,)).replay(pset(2, [(0, 1)]))
+
+
 def test_trace_from_json_rejects_float_direction_and_hyperplane():
     square = pset(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     _, _, trace = reduce(square, pset(2, [(0, 0)]), E2)

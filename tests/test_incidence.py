@@ -328,6 +328,16 @@ def test_stanchescu_32_slices():
             "hyperplane dimension mismatch",
             id="slices-dim",
         ),
+        # a raw direction that Direction.of would change would compress unlike its own JSON
+        pytest.param(lambda: Direction((0, -1)), "raw direction (0, -1) is not", id="raw-direction-sign"),
+        pytest.param(lambda: Direction((0, 2)), "raw direction (0, 2) is not", id="raw-direction-gcd"),
+        pytest.param(lambda: Direction((0, 0)), "zero vector has no direction", id="raw-direction-zero"),
+        pytest.param(
+            lambda: Direction((Fraction(1, 2), 1)), "raw direction (Fraction(1, 2), 1) is not",
+            id="raw-direction-fraction",
+        ),
+        pytest.param(lambda: Direction((True, False)), "raw direction (True, False) is not", id="raw-direction-bool"),
+        pytest.param(lambda: Direction([0, 1]), "raw direction [0, 1] is not", id="raw-direction-list"),
     ],
 )
 def test_incidence_refusals(call, message):

@@ -192,7 +192,7 @@ def test_raw_constructor_rejects_repeated_unsorted_and_misshapen_points():
         PointSet(2, ((1, 2), (1, 2)))
     with pytest.raises(ValueError, match=r"strictly increasing: \(1, 2\) repeats"):
         PointSet(2, ((3, 4), (1, 2)))
-    with pytest.raises(ValueError, match=r"point \(1, 2, 3\) has length 3 in ambient dimension 2"):
+    with pytest.raises(ValueError, match="point of length 3 in ambient dimension 2"):
         PointSet(2, ((0, 0), (1, 2, 3)))
     # the set is stored over its least common denominator, which only int and Fraction coordinates have
     with pytest.raises(ValueError, match=r"float coordinate 0\.5 rejected"):
@@ -226,7 +226,15 @@ def test_raw_affine_map_rejects_entries_other_than_int_and_fraction(matrix, tran
     "call, message",
     [
         pytest.param(lambda: PointSet.of(2, [()]), "points must have at least one coordinate", id="no-coordinates"),
-        pytest.param(lambda: PointSet.of(0, []), "ambient dimension must be positive", id="dim-0"),
+        pytest.param(lambda: PointSet.of(0, []), "bad dimension: 0", id="dim-0"),
+        # the raw constructor builds through PointSet.of, so both refuse what from_json refuses
+        pytest.param(lambda: PointSet(0, ()), "bad dimension: 0", id="raw-dim-0"),
+        pytest.param(lambda: PointSet(-1, ()), "bad dimension: -1", id="raw-dim-negative"),
+        pytest.param(lambda: PointSet(True, ((1,),)), "bad dimension: True", id="raw-dim-bool"),
+        pytest.param(lambda: PointSet("2", ()), "bad dimension: '2'", id="raw-dim-str"),
+        pytest.param(lambda: PointSet.of(True, [(1,)]), "bad dimension: True", id="dim-bool"),
+        pytest.param(lambda: PointSet.of(2.0, [(1, 2)]), "bad dimension: 2.0", id="dim-float"),
+        pytest.param(lambda: PointSet.of("2", []), "bad dimension: '2'", id="dim-str"),
         pytest.param(
             lambda: AffineMap([[1, 0]], [0]), "affine map needs a square matrix and a matching translation",
             id="affine-not-square",

@@ -20,6 +20,7 @@ from sumlab import (
     random_probe,
 )
 from sumlab import search
+from sumlab.cli import cli_dispatch
 from sumlab.search import EXHAUSTIVE, RANDOM, _sample_points, diff_count, lattice_points
 from conftest import _fraction_rref, oracle_diff_count
 
@@ -417,6 +418,17 @@ def test_random_probe_resamples_until_full_dimensional(monkeypatch):
     monkeypatch.setattr(search, "affine_rank", lambda pts: 0)
     with pytest.raises(ValueError, match="could not sample a full-dimensional subset"):
         random_probe(SearchSpec(2, 3, (3, 1), RANDOM, seed=0, trials=40, require_full_dim=True))
+
+
+def test_exhaustive_walk_without_a_witness_is_an_internal_fault(monkeypatch, capsys):
+    # SearchSpec admits only boxes that hold a full-dimensional n-subset, so a walk that finds
+    # none has a bug; it is not bad input, and the CLI exits 4 with the traceback
+    monkeypatch.setattr(search, "affine_rank", lambda pts: 0)
+    with pytest.raises(RuntimeError, match="no candidate subset satisfied the dimension requirement"):
+        exhaustive_min_diff(SearchSpec(2, 3, (2, 2), EXHAUSTIVE, seed=0, require_full_dim=True))
+    argv = ["search", "--mode", "exhaustive", "--d", "2", "--n", "3", "--box", "2", "--seed", "0", "--require-full-dim"]
+    assert cli_dispatch(argv) == 4
+    assert capsys.readouterr().err.endswith("RuntimeError: no candidate subset satisfied the dimension requirement\n")
 
 
 def test_exhaustive_rejects_pair_claims():
