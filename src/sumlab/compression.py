@@ -92,7 +92,8 @@ def compress_pair(a: PointSet, b: PointSet, spec: CompressionSpec) -> tuple[Poin
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One compression and its point map, a bijection of Fraction points that `compress` or `from_json` checks."""
+    """One compression and its point map, a bijection of Fraction points: `compress` builds one and
+    `from_json` checks one, while `replay` refuses a hand-built step that merges points."""
 
     spec: CompressionSpec
     mapping: tuple[tuple[Point, Point], ...]
@@ -143,8 +144,11 @@ class CompressionTrace:
                 pts = [lookup[p] for p in pts]
             except KeyError as exc:
                 raise ValueError("replay input does not match the recorded domain") from exc
-        # a step maps distinct points to distinct images; `of` checks the images of a hand-built step
-        return PointSet.of(x.dim, pts)
+        # `of` merges repeated images, so a hand-built step that maps two points to one shows as a shorter set
+        out = PointSet.of(x.dim, pts)
+        if len(out) < len(x):
+            raise ValueError(f"replay maps {len(x)} points to {len(out)}: a trace step merges points")
+        return out
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .linalg import affine_basis, kernel_vector
 from .pointset import (
-    Point, PointSet, _balanced, _coerce_coord, _from_integers, _json_fields, _pack, _scaled, _unpack, coerce_point,
+    Point, PointSet, _balanced, _from_integers, _json_fields, _pack, _scaled, _unpack, coerce_point,
 )
 
 
@@ -21,11 +21,6 @@ def _primitive_int(vec: tuple[int, ...]) -> tuple[int, ...]:
     if g == 0:
         raise ValueError("zero vector has no direction")
     return tuple(x // g for x in vec) if vec > (0,) * len(vec) else tuple(x // -g for x in vec)
-
-
-def _primitive(vec: Sequence) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to a primitive, sign-canonical integer vector."""
-    return _primitive_int(_scaled([coerce_point(vec)])[1][0])
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,8 @@ class Direction:
 
     @classmethod
     def of(cls, vec: Sequence) -> "Direction":
-        return cls(_primitive(vec))
+        """The direction of a nonzero vector of int, Fraction or "p/q" entries."""
+        return cls(_primitive_int(_scaled([coerce_point(vec)])[1][0]))
 
     def to_json(self) -> dict:
         return {"vec": [str(x) for x in self.vec]}
@@ -61,19 +57,13 @@ class Hyperplane:
 
     @classmethod
     def of(cls, normal: Sequence, offset) -> "Hyperplane":
-        fracs = coerce_point(normal)
-        off = _coerce_coord(offset)
-        if not any(fracs):
+        # over the least common scale the plane is n . x = c, integers n and c, and n = g p for p primitive
+        _, (n, (c,)) = _scaled([coerce_point(normal), coerce_point([offset])])
+        if not any(n):
             raise ValueError("zero normal")
-        ints = _primitive(fracs)
-        i = next(i for i, f in enumerate(fracs) if f)
-        return cls(ints, off * ints[i] / fracs[i])
-
-    def value(self, p: Point) -> Fraction:
-        return sum((n * c for n, c in zip(self.normal, p)), Fraction(0))
-
-    def contains(self, p: Point) -> bool:
-        return self.value(p) == self.offset
+        p = _primitive_int(n)
+        i = next(i for i, x in enumerate(p) if x)
+        return cls(p, Fraction(c, n[i] // p[i]))
 
     def to_json(self) -> dict:
         return {"normal": [str(x) for x in self.normal], "offset": str(self.offset)}

@@ -6,7 +6,8 @@ create or destroy a collision in a sumset.  Pairwise sums and differences are
 counted on one int per point, a mixed-radix (Kronecker) code that is linear and
 one-to-one on the vectors involved (`_pack`), so a sum of two points
 is one int addition and only the distinct results are decoded back to points.
-Coordinates are read and written as `fractions.Fraction` values.
+Coordinates are read as ints, `fractions.Fraction` values or "p/q" text, and
+written as `Fraction` values.
 """
 
 from __future__ import annotations
@@ -44,19 +45,20 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
-def _coerce_coord(c) -> Fraction:
-    """A coordinate from a Fraction, an int (not a bool) or a "p/q" string; anything else is a ValueError."""
-    if isinstance(c, Fraction):
+def _coerce_coord(c) -> int | Fraction:
+    """An int or a Fraction unchanged, a "p/q" string parsed and an int subclass (not a bool) as a
+    plain int; anything else is a ValueError."""
+    if type(c) is int or isinstance(c, Fraction):
         return c
     if isinstance(c, str):
         return parse_rational(c)
     if isinstance(c, int) and not isinstance(c, bool):
-        return Fraction(c)
+        return int(c)
     raise ValueError(f"{type(c).__name__} coordinate {c!r} rejected; use int, Fraction or 'p/q' string")
 
 
-def coerce_point(coords: Sequence, dim: int | None = None) -> Point:
-    """Normalize a list or tuple of coordinates to a tuple of Fractions."""
+def coerce_point(coords: Sequence, dim: int | None = None) -> tuple[int | Fraction, ...]:
+    """Check a list or tuple of coordinates and return it as a tuple of ints and Fractions."""
     if not isinstance(coords, (list, tuple)):
         raise ValueError(f"a point must be a list or tuple of coordinates, got {coords!r}")
     pt = tuple(map(_coerce_coord, coords))

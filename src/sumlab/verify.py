@@ -24,8 +24,6 @@ from .pointset import PointSet, affine_dimension, difference_count, sumset_count
 from . import search
 from .search import EXHAUSTIVE, RANDOM, SearchSpec, exhaustive_min_diff, random_probe
 
-SUITES = ("constructions", "compression", "reduce", "claims", "search", "all")
-
 
 @dataclass(frozen=True)
 class VerifySuite:
@@ -289,19 +287,23 @@ def suite_search(cfg: VerifySuite) -> list[dict]:
     return checks
 
 
+# each suite by name, in the order that "all" runs them
+_RUNNERS = {
+    "constructions": suite_constructions,
+    "compression": suite_compression,
+    "reduce": suite_reduce,
+    "claims": suite_claims,
+    "search": suite_search,
+}
+SUITES = (*_RUNNERS, "all")
+
+
 def verify_battery(cfg: VerifySuite) -> dict:
     """Run the configured suites; returns a deterministic summary report."""
-    runners = {
-        "constructions": suite_constructions,
-        "compression": suite_compression,
-        "reduce": suite_reduce,
-        "claims": suite_claims,
-        "search": suite_search,
-    }
-    names = list(runners) if cfg.suite == "all" else [cfg.suite]
+    names = list(_RUNNERS) if cfg.suite == "all" else [cfg.suite]
     checks = []
     for name in names:
-        checks.extend(runners[name](cfg))
+        checks.extend(_RUNNERS[name](cfg))
     return {
         "version": __version__,
         "suite": cfg.suite,

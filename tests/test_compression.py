@@ -254,6 +254,17 @@ def test_replay_checks_the_images_of_a_hand_built_step():
         CompressionTrace((step,)).replay(pset(2, [(0, 1)]))
 
 
+def test_replay_refuses_a_hand_built_step_that_merges_points():
+    # from_json refuses such a map; a step built in Python is caught when replay's set comes out shorter
+    merge = (
+        ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))),
+        ((Fraction(0), Fraction(2)), (Fraction(0), Fraction(0))),
+    )
+    trace = CompressionTrace((TraceStep(CompressionSpec(H_Y0, E2), merge),))
+    with pytest.raises(ValueError, match="replay maps 2 points to 1: a trace step merges points"):
+        trace.replay(pset(2, [(0, 1), (0, 2)]))
+
+
 def test_trace_from_json_rejects_float_direction_and_hyperplane():
     square = pset(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     _, _, trace = reduce(square, pset(2, [(0, 0)]), E2)

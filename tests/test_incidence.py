@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -48,14 +49,29 @@ def test_hyperplane_scales_offset_with_normal():
     rng = random.Random(7)
     for _ in range(300):
         d = rng.randint(1, 4)
-        normal = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(d)]
+        # integer entries half the time, given as ints half of that: the offset still comes out a Fraction
+        den = rng.choice((1, 6))
+        normal = [Fraction(rng.randint(-6, 6), rng.randint(1, den)) for _ in range(d)]
         if not any(normal):
             continue
-        offset = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        offset = Fraction(rng.randint(-9, 9), rng.randint(1, den))
+        if rng.random() < 0.5:
+            normal = [int(n) if n.denominator == 1 else n for n in normal]
+            offset = int(offset) if offset.denominator == 1 else offset
         h = Hyperplane.of(normal, offset)
-        c = next(n for n in h.normal if n) / next(n for n in normal if n)
+        c = Fraction(next(n for n in h.normal if n)) / next(n for n in normal if n)
         assert h.normal == tuple(c * n for n in normal) and h.offset == c * offset
+        assert type(h.offset) is Fraction
         assert h.normal == Direction.of(normal).vec
+    # an int normal with a common factor divides the int offset by it
+    for normal, offset, want in [
+        ((2, 4), 3, ((1, 2), Fraction(3, 2))),
+        ((-2, 4), 3, ((1, -2), Fraction(-3, 2))),
+        ((0, 3), 6, ((0, 1), Fraction(2))),
+        ((Fraction(2, 3), 4), "1/3", ((1, 6), Fraction(1, 2))),
+    ]:
+        h = Hyperplane.of(normal, offset)
+        assert (h.normal, h.offset) == want and type(h.offset) is Fraction
 
 
 @pytest.mark.parametrize("vec", [(1.5, 1), (0.0, 1.0), (1, 0.0), ("1.5", "1"), (" 1", "0")])
@@ -174,9 +190,11 @@ def test_supporting_hyperplanes_one_closed_side():
             continue
         for h in supporting_hyperplanes(a, l):
             assert sum(n * v for n, v in zip(h.normal, l.vec)) == 0
-            values = [h.value(p) for p in a.points]
-            assert all(v <= h.offset for v in values) or all(v >= h.offset for v in values)
-            assert any(v == h.offset for v in values)
+            # normal . p' = scale * offset on the plane, for the set's integer points p' = scale * p
+            values = [sum(map(mul, h.normal, p)) for p in a.ints]
+            c = h.offset * a.scale
+            assert all(v <= c for v in values) or all(v >= c for v in values)
+            assert any(v == c for v in values)
 
 
 def test_specialized_vs_general_hull_paths():
@@ -251,7 +269,7 @@ def test_major_hyperplane_tiebreak():
     assert major_hyperplane(a, E1) == Hyperplane.of((0, 1), 0)
     s24 = stanchescu_dk(2, 4)
     h2 = major_hyperplane(s24, E1)
-    assert sum(1 for p in s24.points if h2.contains(p)) == 4
+    assert sum(1 for p in s24.ints if sum(map(mul, h2.normal, p)) == h2.offset * s24.scale) == 4
 
 
 def test_major_hyperplane_scales_the_set_once(monkeypatch):
@@ -264,7 +282,7 @@ def test_major_hyperplane_scales_the_set_once(monkeypatch):
     a = pset(3, [(0, 0, 0), (Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, Fraction(2, 3)), (1, 1, 1)])
     h = major_hyperplane(a, Direction.of((0, 0, 1)))
     assert len(calls) == 1
-    assert sum(1 for p in a.points if h.contains(p)) == 3
+    assert sum(1 for p in a.ints if sum(map(mul, h.normal, p)) == h.offset * a.scale) == 3
 
 
 def test_major_slice_at_least_last_slice():

@@ -1,11 +1,13 @@
 import random
 import re
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from sumlab import (
     AffineMap,
+    Direction,
     PointSet,
     affine_dimension,
     apply_affine,
@@ -252,3 +254,26 @@ def test_pointset_refusals(call, message):
 
 def test_iterating_a_set_yields_its_fraction_points():
     assert list(pset(2, [(Fraction(1, 2), 3), (0, 1)])) == [(0, 1), (Fraction(1, 2), 3)]
+
+
+class _Int(int):
+    """An int type other than int and bool, such as an IntEnum."""
+
+
+@pytest.mark.parametrize("form", [int, Fraction, str, _Int], ids=["int", "fraction", "text", "int-subclass"])
+def test_int_fraction_and_text_inputs_agree(form):
+    # ints enter as ints, yet every way in gives the fields and the Fraction outputs of the other two forms
+    def point(p):
+        return tuple(map(form, p))
+
+    pts = [(0, 0, 0), (2, -4, 6), (1, 0, 3)]
+    a = PointSet.of(3, map(point, pts))
+    assert (a.dim, a.scale, a.ints) == (3, 1, ((0, 0, 0), (1, 0, 3), (2, -4, 6)))
+    assert a == PointSet.from_json({"dim": 3, "points": [list(point(p)) for p in pts]})
+    assert all(type(c) is Fraction for p in a.points for c in p)
+    assert point((2, -4, 6)) in a and translate(a, point((0, 0, 1))).ints[0] == (0, 0, 1)
+    assert Direction.of(point((2, -4, 6))).vec == (1, -2, 3)
+    m = AffineMap.of([point((2, 0)), point((1, 1))], point((0, -3)))
+    assert m == AffineMap([(Fraction(2), Fraction(0)), (Fraction(1), Fraction(1))], (Fraction(0), Fraction(-3)))
+    assert m.translation == (0, -3) and all(type(c) is Fraction for c in (*m.translation, *chain(*m.matrix)))
+    assert AffineMap.identity(3) == AffineMap.of([point((1, 0, 0)), point((0, 1, 0)), point((0, 0, 1))], point((0, 0, 0)))
