@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .linalg import affine_basis, kernel_vector
 from .pointset import (
-    Point, PointSet, _balanced, _from_integers, _json_fields, _pack, _scaled, _unpack, coerce_point,
+    Point, PointSet, _balanced, _from_sorted, _json_fields, _once, _pack, _scaled, _unpack, coerce_point,
 )
 
 
@@ -96,13 +96,17 @@ class LinePartition:
         return tuple(len(c) for _, c in self.classes)
 
 
-def _shadow(a: PointSet, lv: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
-    """(s, keys) in integers, keys[i] / s being a.points[i] projected along lv: the integer
-    point p' = a.scale * p has key p' |lv|^2 - (p' . lv) lv, and s = a.scale * |lv|^2."""
+def _check_along(a: PointSet, lv: tuple[int, ...]) -> None:
     if not a.ints:
         raise ValueError("empty set")
     if len(lv) != a.dim:
         raise ValueError("direction dimension mismatch")
+
+
+def _shadow(a: PointSet, lv: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """(s, keys) in integers, keys[i] / s being a.points[i] projected along lv: the integer
+    point p' = a.scale * p has key p' |lv|^2 - (p' . lv) lv, and s = a.scale * |lv|^2."""
+    _check_along(a, lv)
     return a.scale * _dot(lv, lv), _shadow_keys(a.ints, lv)
 
 
@@ -127,7 +131,7 @@ def line_partition(a: PointSet, l: Direction) -> LinePartition:
     class lists its points in lexicographic order, which is their order along l."""
     s, keys = _shadow(a, l.vec)
     classes = tuple(
-        (tuple(Fraction(x, s) for x in key), _from_integers(a.dim, a.scale, pts))
+        (tuple(Fraction(x, s) for x in key), _from_sorted(a.dim, a.scale, pts))
         for key, pts in sorted(_group(a.ints, keys).items())
     )
     return LinePartition(l, classes)
@@ -154,9 +158,13 @@ def min_line_cover(a: PointSet) -> tuple[Direction, int]:
     directions order them lexicographically (`pointset._pack`), so ties go
     to the lexicographically smallest direction vector.
     """
-    n = len(a)
-    if n < 2:
+    if len(a) < 2:
         raise ValueError("need at least two points")
+    return _once(a, "min_line_cover", lambda: _min_line_cover(a))
+
+
+def _min_line_cover(a: PointSet) -> tuple[Direction, int]:
+    n = len(a)
     lo, hi, ranges = _balanced(a.ints)
     codes = _pack(a.ints, ranges)
     point = dict(zip(codes, a.ints))
@@ -248,12 +256,17 @@ def supporting_hyperplanes(a: PointSet, l: Direction) -> list[Hyperplane]:
     orthogonal to l; its primitive normal only needs the canonical sign.
     The list is sorted by (normal, offset).
     """
-    s, keys = _shadow(a, l.vec)
+    _check_along(a, l.vec)
+    return list(_once(a, ("supporting_hyperplanes", l.vec), lambda: _supporting_hyperplanes(a, l.vec)))
+
+
+def _supporting_hyperplanes(a: PointSet, lv: tuple[int, ...]) -> tuple[Hyperplane, ...]:
+    s, keys = _shadow(a, lv)
     shadow = sorted(set(keys))
     if len(shadow) == 1:
         raise ValueError("set projects to a single point along this direction")
     facets = sorted((m, c if m == n else -c) for n, c in _facets(shadow) for m in (_primitive_int(n),))
-    return [Hyperplane(n, Fraction(c, s)) for n, c in facets]
+    return tuple(Hyperplane(n, Fraction(c, s)) for n, c in facets)
 
 
 def major_hyperplane(a: PointSet, l: Direction) -> Hyperplane:
@@ -267,7 +280,8 @@ def major_hyperplane(a: PointSet, l: Direction) -> Hyperplane:
         target = h.offset * a.scale
         return sum(_dot(h.normal, p) == target for p in a.ints)
 
-    return max(supporting_hyperplanes(a, l), key=incidences)
+    _check_along(a, l.vec)
+    return _once(a, ("major_hyperplane", l.vec), lambda: max(supporting_hyperplanes(a, l), key=incidences))
 
 
 def hyperplane_slices(a: PointSet, h: Hyperplane) -> list[tuple[Hyperplane, PointSet]]:
@@ -281,8 +295,13 @@ def hyperplane_slices(a: PointSet, h: Hyperplane) -> list[tuple[Hyperplane, Poin
         raise ValueError("empty set")
     if len(h.normal) != a.dim:
         raise ValueError("hyperplane dimension mismatch")
+    return list(_once(a, ("hyperplane_slices", h), lambda: _hyperplane_slices(a, h)))
+
+
+def _hyperplane_slices(a: PointSet, h: Hyperplane) -> tuple[tuple[Hyperplane, PointSet], ...]:
     groups = _group(a.ints, [_dot(h.normal, p) for p in a.ints])
     values = sorted(groups)
     if h.offset * a.scale >= values[-1] and values[0] < values[-1]:
         values = values[::-1]
-    return [(Hyperplane(h.normal, Fraction(v, a.scale)), _from_integers(a.dim, a.scale, groups[v])) for v in values]
+    # each group keeps the order of a.ints, so its points are sorted
+    return tuple((Hyperplane(h.normal, Fraction(v, a.scale)), _from_sorted(a.dim, a.scale, groups[v])) for v in values)

@@ -100,7 +100,13 @@ class PointSet:
     """Deduplicated, lexicographically ordered finite subset of Q^dim, stored as `ints`: the
     points times `scale`, the least positive integer that makes every coordinate an integer,
     as integer tuples in strictly increasing order, so equal sets have equal fields.  `points`
-    is the same set as `Fraction` tuples."""
+    is the same set as `Fraction` tuples.
+
+    A set is immutable, so each fact the kernels derive from it is computed once and kept in
+    the set's private memo (`_once`): its affine dimension, |A + A| and |A - A| (also recorded
+    by `sumset(a, a)` and `difference_set(a, a)`), its `min_line_cover`, its supporting and
+    major hyperplanes along each direction, and its slices by each hyperplane.  `==` and
+    `hash` read only `dim`, `scale` and `ints`, never the memo."""
 
     dim: int
     scale: int
@@ -130,6 +136,10 @@ class PointSet:
     @cached_property
     def _members(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.ints)
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
 
     def __len__(self) -> int:
         return len(self.ints)
@@ -163,7 +173,11 @@ def _from_integers(dim: int, scale: int, points: Iterable[tuple[int, ...]]) -> P
     """The set of the distinct points / scale, for a positive integer scale and integer points of
     length dim, which it trusts: sorted, they are in strictly increasing order, and dividing by
     their gcd with the scale leaves the least scale.  Points from outside enter through `PointSet.of`."""
-    ints = sorted(set(points))
+    return _from_sorted(dim, scale, sorted(set(points)))
+
+
+def _from_sorted(dim: int, scale: int, ints: Sequence[tuple[int, ...]]) -> PointSet:
+    """`_from_integers` for integer points already in strictly increasing order."""
     g = gcd(scale, *chain.from_iterable(ints)) if scale > 1 else 1
     if g > 1:
         scale //= g
@@ -171,6 +185,15 @@ def _from_integers(dim: int, scale: int, points: Iterable[tuple[int, ...]]) -> P
     out = object.__new__(PointSet)
     out.__dict__.update(dim=dim, scale=scale, ints=tuple(ints))
     return out
+
+
+def _once(a: PointSet, key, compute):
+    """The fact about a under key: compute() on first use, kept in a's memo after; a compute()
+    that raises keeps nothing.  Callers check their arguments on every call, before asking."""
+    memo = a._memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def _box(points: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -247,36 +270,47 @@ def _pairwise(a: PointSet, b: PointSet, sign: int) -> tuple[int, set[int], list[
     return scale, {x - y for x in ca for y in cb}, [ma * l - mb * k for l, k in zip(la, hb)], ranges
 
 
-def _pair_set(a: PointSet, b: PointSet, sign: int) -> PointSet:
+def _pair_set(a: PointSet, b: PointSet, sign: int, count_key: str) -> PointSet:
     scale, codes, lo, ranges = _pairwise(a, b, sign)
-    return _from_integers(a.dim, scale, _unpack(sorted(codes), lo, ranges))
+    # sorted codes decode to points in lexicographic order (`_unpack`)
+    out = _from_sorted(a.dim, scale, _unpack(sorted(codes), lo, ranges))
+    if b is a:
+        a._memo[count_key] = len(out)
+    return out
+
+
+def _pair_count(a: PointSet, b: PointSet, sign: int, count_key: str) -> int:
+    # an empty a is refused by `_pairwise` on every call, as the memo never holds its count
+    if b is a and a.ints:
+        return _once(a, count_key, lambda: len(_pairwise(a, a, sign)[1]))
+    return len(_pairwise(a, b, sign)[1])
 
 
 def sumset(a: PointSet, b: PointSet) -> PointSet:
     """All pairwise sums a + b, deduplicated exactly (on integer codes over one denominator)."""
-    return _pair_set(a, b, 1)
+    return _pair_set(a, b, 1, "sumset_count")
 
 
 def difference_set(a: PointSet, b: PointSet) -> PointSet:
     """All pairwise differences a - b, deduplicated exactly (on integer codes over one denominator)."""
-    return _pair_set(a, b, -1)
+    return _pair_set(a, b, -1, "difference_count")
 
 
 def sumset_count(a: PointSet, b: PointSet) -> int:
     """|A + B|, counted on integer codes over one denominator without building the set."""
-    return len(_pairwise(a, b, 1)[1])
+    return _pair_count(a, b, 1, "sumset_count")
 
 
 def difference_count(a: PointSet, b: PointSet) -> int:
     """|A - B|, counted on integer codes over one denominator without building the set."""
-    return len(_pairwise(a, b, -1)[1])
+    return _pair_count(a, b, -1, "difference_count")
 
 
 def affine_dimension(a: PointSet) -> int:
     """Dimension of the affine span: rank of {p - p0}. 0 for singletons."""
     if not a.ints:
         raise ValueError("empty set has no affine dimension")
-    return affine_rank(a.ints)
+    return _once(a, "affine_dimension", lambda: affine_rank(a.ints))
 
 
 def negate(a: PointSet) -> PointSet:

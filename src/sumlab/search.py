@@ -62,7 +62,7 @@ from ._version import __version__
 from .bounds import COUNTEREXAMPLE, ClaimReport, _NEEDS_B, _NEEDS_L, check_claim, check_domain
 from .incidence import Direction
 from .linalg import affine_rank
-from .pointset import PointSet, _balanced, _from_integers, _pack, _unpack, difference_count
+from .pointset import PointSet, _balanced, _from_integers, _pack, _unpack, affine_dimension, difference_count
 
 IntPoint = tuple[int, ...]
 
@@ -193,8 +193,7 @@ def _seeded_rng(key: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _check_candidate_claim(spec: SearchSpec, points: Sequence[IntPoint], rng: random.Random | None) -> ClaimReport:
-    a = _from_integers(spec.d, 1, points)
+def _check_candidate_claim(spec: SearchSpec, a: PointSet, rng: random.Random | None) -> ClaimReport:
     b = None
     l = None
     if spec.claim in _NEEDS_B:
@@ -259,7 +258,7 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
         if spec.require_full_dim and affine_rank(pts) != spec.d:
             return
         if spec.claim is not None:
-            report = _check_candidate_claim(spec, pts, None)
+            report = _check_candidate_claim(spec, _from_integers(spec.d, 1, pts), None)
             if report.verdict == COUNTEREXAMPLE:
                 violations.append(report)
         if value < best:
@@ -322,30 +321,42 @@ def random_probe(spec: SearchSpec) -> SearchResult:
     if spec.mode != RANDOM:
         raise ValueError("random_probe needs a RANDOM spec")
     uniform = len(set(spec.box)) == 1
+
+    def draw(rng: random.Random) -> list[IntPoint] | PointSet:
+        # with a claim a trial's set is built once, so check_claim's rank and count of it are memo hits;
+        # without one the raw points are ranked and counted faster
+        pts = _sample_points(rng, spec.box, spec.n)
+        return pts if spec.claim is None else _from_integers(spec.d, 1, pts)
+
+    if spec.claim is None:
+        rank, count = affine_rank, diff_count
+    else:
+        rank, count = affine_dimension, lambda a: difference_count(a, a)
     best = None
     # the samples that attain best, canonicalised once best is final
-    samples: list[list[IntPoint]] = []
+    samples: list[list[IntPoint] | PointSet] = []
     violations: list[ClaimReport] = []
     examined = 0
     for trial in range(spec.trials):
         rng = _seeded_rng(f"{spec.seed}/{trial}")
-        pts = _sample_points(rng, spec.box, spec.n)
+        sample = draw(rng)
         if spec.require_full_dim:
             attempts = 0
-            while affine_rank(pts) != spec.d:
+            while rank(sample) != spec.d:
                 attempts += 1
                 if attempts > 500:
                     raise ValueError("could not sample a full-dimensional subset; box too thin?")
-                pts = _sample_points(rng, spec.box, spec.n)
+                sample = draw(rng)
         examined += 1
-        value = diff_count(pts)
+        value = count(sample)
         if best is None or value < best:
             best = value
             samples.clear()
         if value == best:
-            samples.append(pts)
+            samples.append(sample)
         if spec.claim is not None:
-            report = _check_candidate_claim(spec, pts, rng)
+            report = _check_candidate_claim(spec, sample, rng)
             if report.verdict == COUNTEREXAMPLE:
                 violations.append(report)
-    return _search_result(spec, best, {canonical_form(pts, uniform) for pts in samples}, examined, violations)
+    canonical = {canonical_form(s if spec.claim is None else s.ints, uniform) for s in samples}
+    return _search_result(spec, best, canonical, examined, violations)

@@ -5,18 +5,22 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumlab import (
     Direction,
     Hyperplane,
     PointSet,
     affine_dimension,
+    check_claim,
     hyperplane_slices,
     line_partition,
     major_hyperplane,
     min_line_cover,
     stan_doubling_tight,
     stanchescu_dk,
+    structure_diagnose,
     supporting_hyperplanes,
     translate,
 )
@@ -361,3 +365,98 @@ def test_stanchescu_32_slices():
 def test_incidence_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def _answer(query, *args):
+    """query(*args), or the message of the ValueError it raises."""
+    try:
+        return query(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@st.composite
+def _memo_cases(draw):
+    """(d, pts, directions, normals, offset): a point list in d = 2..4 with coordinates in halves,
+    two nonzero direction vectors and two nonzero normals."""
+    d = draw(st.integers(2, 4))
+    point = st.tuples(*[st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))] * d)
+    vec = st.tuples(*[st.integers(-2, 2)] * d).filter(any)
+    pts = draw(st.lists(point, min_size=1, max_size=8, unique=True))
+    return d, pts, draw(st.lists(vec, min_size=2, max_size=2)), draw(st.lists(vec, min_size=2, max_size=2)), draw(point)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_memo_cases())
+def test_memoised_incidence_facts_match_a_fresh_set(case):
+    d, pts, vecs, normals, p = case
+    a = PointSet.of(d, pts)
+    assert _answer(min_line_cover, a) == _answer(min_line_cover, a) == _answer(min_line_cover, PointSet.of(d, pts))
+    # each direction and each hyperplane gets its own answer, asked before or after the others
+    for query, args in (
+        (supporting_hyperplanes, [Direction.of(v) for v in vecs]),
+        (major_hyperplane, [Direction.of(v) for v in vecs]),
+        (hyperplane_slices, [Hyperplane.of(n, sum(x * c for x, c in zip(n, p))) for n in normals]),
+    ):
+        for arg in [*args, *reversed(args)]:
+            assert _answer(query, a, arg) == _answer(query, PointSet.of(d, pts), arg), (query.__name__, arg)
+
+
+def test_mutating_a_returned_list_leaves_the_next_answer_alone():
+    a = stanchescu_dk(3, 4)
+    l = min_line_cover(a)[0]
+    hs = supporting_hyperplanes(a, l)
+    expected = list(hs)
+    hs.clear()
+    assert supporting_hyperplanes(a, l) == expected
+    slices = hyperplane_slices(a, expected[0])
+    kept = list(slices)
+    slices.reverse()
+    slices.append(slices[0])
+    assert hyperplane_slices(a, expected[0]) == kept
+    assert supporting_hyperplanes(a, l) is not supporting_hyperplanes(a, l)
+
+
+def test_refusals_repeat_on_every_call():
+    point = pset(2, [(1, 2)])
+    line = pset(3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)])
+    along = Direction.of((1, 1, 1))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="need at least two points"):
+            min_line_cover(point)
+        with pytest.raises(ValueError, match="single point"):
+            supporting_hyperplanes(line, along)
+        with pytest.raises(ValueError, match="single point"):
+            major_hyperplane(line, along)
+
+
+def test_a_direction_or_hyperplane_of_the_wrong_dimension_is_refused_after_a_memo_hit():
+    a = stanchescu_dk(3, 3)
+    l = min_line_cover(a)[0]
+    h = major_hyperplane(a, l)
+    supporting_hyperplanes(a, l), hyperplane_slices(a, h)
+    for _ in range(2):
+        for query in (supporting_hyperplanes, major_hyperplane):
+            with pytest.raises(ValueError, match="direction dimension mismatch"):
+                query(a, Direction.of((*l.vec, 1)))
+        with pytest.raises(ValueError, match="hyperplane dimension mismatch"):
+            hyperplane_slices(a, Hyperplane.of((*h.normal, 1), h.offset))
+        assert major_hyperplane(a, l) == h
+
+
+def test_one_diagnosis_and_its_claims_walk_the_shadow_facets_once(monkeypatch):
+    # the queries of one set share its cover direction, major hyperplane and slices
+    import sumlab.incidence
+
+    calls = []
+    for name in ("_min_line_cover", "_supporting_hyperplanes", "_hyperplane_slices"):
+        real = getattr(sumlab.incidence, name)
+        monkeypatch.setattr(sumlab.incidence, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    a = stanchescu_dk(3, 6)
+    l = min_line_cover(a)[0]
+    h = major_hyperplane(a, l)
+    supporting_hyperplanes(a, l), hyperplane_slices(a, h), structure_diagnose(a)
+    assert check_claim("TWOPLANES_1", a, None, l).verdict == "CONSISTENT"
+    check_claim("DLINES", a)
+    # the second cover is the top slice's, which the diagnosis and TWOPLANES_1 share
+    assert calls == ["_min_line_cover", "_supporting_hyperplanes", "_hyperplane_slices", "_min_line_cover"]

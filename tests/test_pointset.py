@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumlab import (
     AffineMap,
@@ -12,10 +14,12 @@ from sumlab import (
     affine_dimension,
     apply_affine,
     difference_set,
+    min_line_cover,
     negate,
     sumset,
     translate,
 )
+from sumlab.pointset import difference_count, sumset_count
 from conftest import oracle_diff_count, oracle_pair_sum_count, pset
 
 
@@ -277,3 +281,72 @@ def test_int_fraction_and_text_inputs_agree(form):
     assert m == AffineMap([(Fraction(2), Fraction(0)), (Fraction(1), Fraction(1))], (Fraction(0), Fraction(-3)))
     assert m.translation == (0, -3) and all(type(c) is Fraction for c in (*m.translation, *chain(*m.matrix)))
     assert AffineMap.identity(3) == AffineMap.of([point((1, 0, 0)), point((0, 1, 0)), point((0, 0, 1))], point((0, 0, 0)))
+
+
+@st.composite
+def _memo_cases(draw):
+    """(d, pts, other): two point lists in d = 2..4 with coordinates in halves, possibly equal."""
+    d = draw(st.integers(2, 4))
+    point = st.tuples(*[st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))] * d)
+    return d, draw(st.lists(point, min_size=1, max_size=8, unique=True)), draw(st.lists(point, min_size=1, max_size=5))
+
+
+_SET_FACTS = {
+    "affine_dimension": affine_dimension,
+    "difference_count": lambda a: difference_count(a, a),
+    "sumset_count": lambda a: sumset_count(a, a),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_memo_cases())
+def test_memoised_set_facts_match_a_fresh_set(case):
+    d, pts, other = case
+    a, b = PointSet.of(d, pts), PointSet.of(d, other)
+    for name, fact in _SET_FACTS.items():
+        assert fact(a) == fact(a) == fact(PointSet.of(d, pts)), name
+    # a second operand is not the set itself, so its count is its own
+    assert difference_count(a, b) == difference_count(PointSet.of(d, pts), b)
+    assert sumset_count(a, b) == sumset_count(PointSet.of(d, pts), b)
+    # building A - A and A + A records the counts that are asked for next
+    c = PointSet.of(d, pts)
+    built = len(difference_set(c, c)), len(sumset(c, c))
+    assert built == (difference_count(c, c), sumset_count(c, c)) == (difference_count(a, a), sumset_count(a, a))
+
+
+def test_a_set_with_a_filled_memo_equals_and_hashes_as_a_fresh_one():
+    pts = [(0, 0), (Fraction(1, 2), 0), (1, 1), (2, Fraction(3, 2))]
+    a = PointSet.of(2, pts)
+    for fact in _SET_FACTS.values():
+        fact(a)
+    min_line_cover(a)
+    sumset(a, a)
+    fresh = PointSet.of(2, pts)
+    assert a == fresh and fresh == a and hash(a) == hash(fresh)
+    assert len({a, fresh}) == 1 and repr(a) == repr(fresh)
+
+
+def test_each_set_fact_is_computed_once(monkeypatch):
+    import sumlab.pointset
+
+    calls = []
+    for name in ("affine_rank", "_pairwise"):
+        real = getattr(sumlab.pointset, name)
+        monkeypatch.setattr(sumlab.pointset, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    a = PointSet.of(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    for _ in range(3):
+        assert (affine_dimension(a), difference_count(a, a), sumset_count(a, a)) == (3, 21, 15)
+    assert calls == ["affine_rank", "_pairwise", "_pairwise"]
+    # the counts of A - A and A + A come with the sets; a second operand is counted every time
+    b = PointSet.of(3, a.points)
+    calls.clear()
+    difference_set(b, b), sumset(b, b), difference_count(b, b), sumset_count(b, b)
+    difference_count(a, b), difference_count(a, b)
+    assert calls == ["_pairwise"] * 4
+    # an empty set is refused on every call, as no count of it is ever kept
+    empty = PointSet.of(3, [])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nonempty operands"):
+            difference_count(empty, empty)
+        with pytest.raises(ValueError, match="empty set has no affine dimension"):
+            affine_dimension(empty)

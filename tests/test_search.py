@@ -420,6 +420,23 @@ def test_random_probe_resamples_until_full_dimensional(monkeypatch):
         random_probe(SearchSpec(2, 3, (3, 1), RANDOM, seed=0, trials=40, require_full_dim=True))
 
 
+def test_random_probe_with_a_claim_ranks_and_counts_each_trial_once(monkeypatch):
+    # a trial's set is built once, so check_claim's full-dimension test and |A - A| are memo hits
+    import sumlab.pointset
+
+    draws, calls = [], []
+    real_sample = search._sample_points
+    monkeypatch.setattr(search, "_sample_points", lambda *args: draws.append(1) or real_sample(*args))
+    for name in ("affine_rank", "_pairwise"):
+        real = getattr(sumlab.pointset, name)
+        monkeypatch.setattr(sumlab.pointset, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    spec = SearchSpec(3, 4, (1, 1, 1), RANDOM, seed=5, trials=30, claim="MAIN", as_conjecture=True, require_full_dim=True)
+    result = random_probe(spec)
+    assert calls.count("affine_rank") == len(draws) > 30
+    # one count per trial, and one per witness in the result's re-check
+    assert calls.count("_pairwise") == 30 + len(result.witnesses)
+
+
 def test_exhaustive_walk_without_a_witness_is_an_internal_fault(monkeypatch, capsys):
     # SearchSpec admits only boxes that hold a full-dimensional n-subset, so a walk that finds
     # none has a bug; it is not bad input, and the CLI exits 4 with the traceback
