@@ -498,45 +498,60 @@ def test_verify_matches_golden_report():
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# name -> argv; run from tests/golden so the input_sha256 keys are stable relative paths
+# name -> (exit code, argv); run from tests/golden so the input_sha256 keys are stable relative paths
 GOLDEN_RUNS = {
-    "search_exhaustive_d2_n5": [
+    "search_exhaustive_d2_n5": (0, [
         "search", "--mode", "exhaustive", "--d", "2", "--n", "5", "--box", "3",
         "--seed", "0", "--require-full-dim",
-    ],
-    "search_random_d3_main": [
+    ]),
+    "search_random_d3_main": (0, [
         "search", "--mode", "random", "--d", "3", "--n", "10", "--box", "4",
         "--trials", "200", "--seed", "42", "--claim", "MAIN", "--as-conjecture",
-    ],
-    "reduce_a3": ["reduce", "--input", "inputs/a3.json", "--b", "inputs/b3.json", "--direction", "0,0,1"],
-    "reduce_a3_denormalize": [
+    ]),
+    # a probe without a claim, whose trials are only ranked and counted
+    "search_random_d3_n8": (0, [
+        "search", "--mode", "random", "--d", "3", "--n", "8", "--box", "4",
+        "--trials", "200", "--seed", "99", "--require-full-dim",
+    ]),
+    # {0,1}^4 has |A - A| = 81, 4/3 below the conjectured MAIN bound at d = 4, n = 16; a violation exits 1
+    "search_exhaustive_cube4_main": (1, [
+        "search", "--mode", "exhaustive", "--d", "4", "--n", "16", "--box", "1",
+        "--seed", "0", "--claim", "MAIN", "--as-conjecture", "--require-full-dim",
+    ]),
+    "search_random_cube4_main": (1, [
+        "search", "--mode", "random", "--trials", "2", "--d", "4", "--n", "16", "--box", "1",
+        "--seed", "0", "--claim", "MAIN", "--as-conjecture", "--require-full-dim",
+    ]),
+    "reduce_a3": (0, ["reduce", "--input", "inputs/a3.json", "--b", "inputs/b3.json", "--direction", "0,0,1"]),
+    "reduce_a3_denormalize": (0, [
         "reduce", "--input", "inputs/a3.json", "--b", "inputs/b3.json", "--direction", "0,0,1",
         "--denormalize",
-    ],
-    "compress_a2_b2": [
+    ]),
+    "compress_a2_b2": (0, [
         "compress", "--input", "inputs/a2.json", "--b", "inputs/b2.json",
         "--normal", "1,2", "--offset", "1/2", "--direction", "1,-1",
-    ],
+    ]),
     # n.v = 3: the anchors gain a denominator that neither the points nor the offset carry
-    "compress_a2_b2_nv3": [
+    "compress_a2_b2_nv3": (0, [
         "compress", "--input", "inputs/a2.json", "--b", "inputs/b2.json",
         "--normal", "1,2", "--offset", "1/3", "--direction", "1,1",
-    ],
+    ]),
     # a whole set built by set arithmetic on rational input, with denominators 2, 3 and 6
-    "diff_a2_b2": ["diff", "--input", "inputs/a2.json", "--b", "inputs/b2.json"],
-    "lines_a3_cover": ["lines", "--input", "inputs/a3.json"],
-    "lines_a2_partition": ["lines", "--input", "inputs/a2.json", "--direction", "1,0"],
-    "diagnose_a3": ["diagnose", "--input", "inputs/a3.json"],
+    "diff_a2_b2": (0, ["diff", "--input", "inputs/a2.json", "--b", "inputs/b2.json"]),
+    "lines_a3_cover": (0, ["lines", "--input", "inputs/a3.json"]),
+    "lines_a2_partition": (0, ["lines", "--input", "inputs/a2.json", "--direction", "1,0"]),
+    "diagnose_a3": (0, ["diagnose", "--input", "inputs/a3.json"]),
     # d=4: the shadow along the cover direction has rank 3
-    "diagnose_a4": ["diagnose", "--input", "inputs/a4.json"],
+    "diagnose_a4": (0, ["diagnose", "--input", "inputs/a4.json"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_cli_matches_golden_report(name, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    code, out = run_cli(GOLDEN_RUNS[name])
-    assert code == 0
+    want, argv = GOLDEN_RUNS[name]
+    code, out = run_cli(argv)
+    assert code == want
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
