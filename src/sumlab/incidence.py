@@ -96,17 +96,13 @@ class LinePartition:
         return tuple(len(c) for _, c in self.classes)
 
 
-def _check_along(a: PointSet, lv: tuple[int, ...]) -> None:
+def _shadow(a: PointSet, lv: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """(s, keys) in integers, keys[i] / s being a.points[i] projected along lv: the integer
+    point p' = a.scale * p has key p' |lv|^2 - (p' . lv) lv, and s = a.scale * |lv|^2."""
     if not a.ints:
         raise ValueError("empty set")
     if len(lv) != a.dim:
         raise ValueError("direction dimension mismatch")
-
-
-def _shadow(a: PointSet, lv: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
-    """(s, keys) in integers, keys[i] / s being a.points[i] projected along lv: the integer
-    point p' = a.scale * p has key p' |lv|^2 - (p' . lv) lv, and s = a.scale * |lv|^2."""
-    _check_along(a, lv)
     return a.scale * _dot(lv, lv), _shadow_keys(a.ints, lv)
 
 
@@ -256,7 +252,6 @@ def supporting_hyperplanes(a: PointSet, l: Direction) -> list[Hyperplane]:
     orthogonal to l; its primitive normal only needs the canonical sign.
     The list is sorted by (normal, offset).
     """
-    _check_along(a, l.vec)
     return list(_once(a, ("supporting_hyperplanes", l.vec), lambda: _supporting_hyperplanes(a, l.vec)))
 
 
@@ -280,7 +275,6 @@ def major_hyperplane(a: PointSet, l: Direction) -> Hyperplane:
         target = h.offset * a.scale
         return sum(_dot(h.normal, p) == target for p in a.ints)
 
-    _check_along(a, l.vec)
     return _once(a, ("major_hyperplane", l.vec), lambda: max(supporting_hyperplanes(a, l), key=incidences))
 
 

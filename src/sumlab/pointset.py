@@ -189,7 +189,8 @@ def _from_sorted(dim: int, scale: int, ints: Sequence[tuple[int, ...]]) -> Point
 
 def _once(a: PointSet, key, compute):
     """The fact about a under key: compute() on first use, kept in a's memo after; a compute()
-    that raises keeps nothing.  Callers check their arguments on every call, before asking."""
+    that raises keeps nothing.  So a check of the arguments inside compute() runs on every call
+    that could fail it, as long as the key holds every argument besides a that the check reads."""
     memo = a._memo
     if key not in memo:
         memo[key] = compute()
@@ -279,10 +280,20 @@ def _pair_set(a: PointSet, b: PointSet, sign: int, count_key: str) -> PointSet:
     return out
 
 
+def _self_count(a: PointSet, sign: int) -> int:
+    """|A + A| for sign 1, |A - A| for sign -1, counted on a's codes under its balanced radix
+    (`_balanced`): two sums of its points, like two differences, differ by at most
+    2 (hi_i - lo_i) on axis i, so distinct results have distinct codes."""
+    codes = _pack(a.ints, _balanced(a.ints)[2])
+    if sign > 0:
+        return len({x + y for x in codes for y in codes})
+    return len({x - y for x in codes for y in codes})
+
+
 def _pair_count(a: PointSet, b: PointSet, sign: int, count_key: str) -> int:
     # an empty a is refused by `_pairwise` on every call, as the memo never holds its count
     if b is a and a.ints:
-        return _once(a, count_key, lambda: len(_pairwise(a, a, sign)[1]))
+        return _once(a, count_key, lambda: _self_count(a, sign))
     return len(_pairwise(a, b, sign)[1])
 
 

@@ -55,14 +55,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import comb, prod
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from ._version import __version__
 from .bounds import COUNTEREXAMPLE, ClaimReport, _NEEDS_B, _NEEDS_L, check_claim, check_domain
 from .incidence import Direction
 from .linalg import affine_rank
-from .pointset import PointSet, _balanced, _from_integers, _pack, _unpack, affine_dimension, difference_count
+from .pointset import PointSet, _from_integers, _pack, _unpack, affine_dimension, difference_count
 
 IntPoint = tuple[int, ...]
 
@@ -178,13 +178,6 @@ def canonical_form(points: Iterable[IntPoint], allow_permutations: bool = True) 
     shifted = [tuple(c - m for c, m in zip(p, mins)) for p in pts]
     perms = itertools.permutations(range(d)) if allow_permutations else [tuple(range(d))]
     return min(tuple(sorted(tuple(p[i] for i in perm) for p in shifted)) for perm in perms)
-
-
-def diff_count(points: Sequence[IntPoint]) -> int:
-    """|A - A| for integer points, counted on their codes under their balanced radix
-    (`pointset._balanced`), on which distinct differences have distinct codes."""
-    codes = _pack(points, _balanced(points)[2])
-    return len({p - q for p in codes for q in codes})
 
 
 def _seeded_rng(key: str) -> random.Random:
@@ -305,11 +298,16 @@ def _search_result(
     """The result with the first WITNESS_CAP witnesses, each re-checked to attain best."""
     witness_sets = tuple(_from_integers(spec.d, 1, w) for w in sorted(witnesses)[:WITNESS_CAP])
     for w in witness_sets:
-        if difference_count(w, w) != best:
+        if _tuple_diff_count(w.ints) != best:
             raise RuntimeError(f"witness {w.to_json()} does not have |W - W| = {best}")
         if spec.require_full_dim and affine_rank(w.ints) != spec.d:
             raise RuntimeError(f"witness {w.to_json()} does not span dimension {spec.d}")
     return SearchResult(spec, best, witness_sets, examined, tuple(violations))
+
+
+def _tuple_diff_count(pts: Sequence[IntPoint]) -> int:
+    """|A - A| on plain tuples: the witness re-check shares no code with the counts it checks."""
+    return len({tuple(map(sub, p, q)) for p in pts for q in pts})
 
 
 def random_probe(spec: SearchSpec) -> SearchResult:
@@ -322,19 +320,13 @@ def random_probe(spec: SearchSpec) -> SearchResult:
         raise ValueError("random_probe needs a RANDOM spec")
     uniform = len(set(spec.box)) == 1
 
-    def draw(rng: random.Random) -> list[IntPoint] | PointSet:
-        # with a claim a trial's set is built once, so check_claim's rank and count of it are memo hits;
-        # without one the raw points are ranked and counted faster
-        pts = _sample_points(rng, spec.box, spec.n)
-        return pts if spec.claim is None else _from_integers(spec.d, 1, pts)
+    def draw(rng: random.Random) -> PointSet:
+        # a trial's set is built once, so check_claim's rank and count of it are memo hits
+        return _from_integers(spec.d, 1, _sample_points(rng, spec.box, spec.n))
 
-    if spec.claim is None:
-        rank, count = affine_rank, diff_count
-    else:
-        rank, count = affine_dimension, lambda a: difference_count(a, a)
     best = None
     # the samples that attain best, canonicalised once best is final
-    samples: list[list[IntPoint] | PointSet] = []
+    samples: list[PointSet] = []
     violations: list[ClaimReport] = []
     examined = 0
     for trial in range(spec.trials):
@@ -342,13 +334,13 @@ def random_probe(spec: SearchSpec) -> SearchResult:
         sample = draw(rng)
         if spec.require_full_dim:
             attempts = 0
-            while rank(sample) != spec.d:
+            while affine_dimension(sample) != spec.d:
                 attempts += 1
                 if attempts > 500:
                     raise ValueError("could not sample a full-dimensional subset; box too thin?")
                 sample = draw(rng)
         examined += 1
-        value = count(sample)
+        value = difference_count(sample, sample)
         if best is None or value < best:
             best = value
             samples.clear()
@@ -358,5 +350,5 @@ def random_probe(spec: SearchSpec) -> SearchResult:
             report = _check_candidate_claim(spec, sample, rng)
             if report.verdict == COUNTEREXAMPLE:
                 violations.append(report)
-    canonical = {canonical_form(s if spec.claim is None else s.ints, uniform) for s in samples}
+    canonical = {canonical_form(s.ints, uniform) for s in samples}
     return _search_result(spec, best, canonical, examined, violations)

@@ -8,10 +8,12 @@ sets of every affine rank and arbitrary directions; line partitions and
 hyperplane slices over d = 2..4, along random directions and along a
 difference of two set points. The counts `sumset_count` and
 `difference_count` range over the same operands as the sets, and over each
-operand with itself. The search's packed `diff_count` ranges over integer
-sets in d = 1..4 with n = 1..12, negative coordinates, zero-span axes and
-collinear sets. The `linalg` elimination is pinned through `affine_dimension`
-on flats of every rank in d = 1..5, and through `kernel_vector` and
+operand with itself; a set's own counts, packed once under its balanced
+radix, also range over sets in d = 1..4 with n = 1..12, integer or rational
+on each axis, negative coordinates, zero-span axes and collinear sets, and
+must equal the two-operand count on an equal but distinct set. The `linalg`
+elimination is pinned through `affine_dimension` on flats of every rank in
+d = 1..5, and through `kernel_vector` and
 `invert_matrix` on matrices of up to 5 x 5 of every rank, with integer,
 rational and mixed int/Fraction entries. `compress` (image and point map)
 and `apply_affine` range over d = 1..4 with integer, rational and mixed
@@ -63,7 +65,6 @@ from sumlab import (
 from sumlab.compression import TraceStep
 from sumlab.linalg import invert_matrix, kernel_vector
 from sumlab.pointset import _pack, _unpack, difference_count, sumset_count
-from sumlab.search import diff_count
 from conftest import (
     _fraction_rref,
     oracle_apply_affine,
@@ -154,9 +155,10 @@ def test_difference_count_matches_oracle(case):
 
 
 @st.composite
-def lattice_sets(draw):
-    """1 to 12 integer points in d = 1..4, negative coordinates allowed, some axes held
-    at one value (zero span): in general position or on one line."""
+def self_count_sets(draw):
+    """(d, points): 1 to 12 points in d = 1..4, negative coordinates allowed, some axes held
+    at one value (zero span), in general position or on one line, and each axis integer or
+    over a denominator of 2, 3 or 6."""
     d = draw(st.integers(1, 4))
     held = draw(st.lists(st.booleans(), min_size=d, max_size=d))
     point = st.tuples(*[st.just(draw(st.integers(-6, 6))) if h else st.integers(-6, 6) for h in held])
@@ -164,13 +166,22 @@ def lattice_sets(draw):
     steps = st.lists(st.integers(-5, 5), min_size=1, max_size=12, unique=True)
     vec = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
     collinear = st.builds(lambda base, v, ks: [tuple(b + k * x for b, x in zip(base, v)) for k in ks], point, vec, steps)
-    return draw(st.one_of(general, collinear))
+    dens = draw(st.lists(st.sampled_from((1, 1, 2, 3, 6)), min_size=d, max_size=d))
+    return d, [tuple(Fraction(x, m) for x, m in zip(p, dens)) for p in draw(st.one_of(general, collinear))]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(lattice_sets())
-def test_diff_count_matches_oracle(pts):
-    assert diff_count(pts) == oracle_diff_count(pts)
+@given(self_count_sets())
+@example((1, [(Fraction(-1, 2),)]))
+def test_diff_count_matches_oracle(case):
+    # a set with itself takes the packed count under its own balanced radix, and an equal set
+    # that is not the set itself takes the two-operand count
+    d, pts = case
+    a = PointSet.of(d, pts)
+    twin = PointSet.of(a.dim, a.points)
+    assert twin == a and twin is not a
+    assert difference_count(a, a) == difference_count(a, twin) == oracle_diff_count(pts)
+    assert sumset_count(a, a) == sumset_count(a, twin) == oracle_sum_count(pts)
 
 
 @PROPERTY

@@ -330,13 +330,13 @@ def test_each_set_fact_is_computed_once(monkeypatch):
     import sumlab.pointset
 
     calls = []
-    for name in ("affine_rank", "_pairwise"):
+    for name in ("affine_rank", "_self_count", "_pairwise"):
         real = getattr(sumlab.pointset, name)
         monkeypatch.setattr(sumlab.pointset, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     a = PointSet.of(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     for _ in range(3):
         assert (affine_dimension(a), difference_count(a, a), sumset_count(a, a)) == (3, 21, 15)
-    assert calls == ["affine_rank", "_pairwise", "_pairwise"]
+    assert calls == ["affine_rank", "_self_count", "_self_count"]
     # the counts of A - A and A + A come with the sets; a second operand is counted every time
     b = PointSet.of(3, a.points)
     calls.clear()

@@ -41,9 +41,9 @@ def from_step(k, change):
 
 
 def break_witness_check():
-    real_count = S.difference_count
+    real_count = S._tuple_diff_count
     # every witness now looks one difference short of the value the search found
-    S.difference_count = lambda a, b: real_count(a, b) - 1
+    S._tuple_diff_count = lambda pts: real_count(pts) - 1
 
 
 def reduce_comb():

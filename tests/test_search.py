@@ -21,7 +21,7 @@ from sumlab import (
 )
 from sumlab import search
 from sumlab.cli import cli_dispatch
-from sumlab.search import EXHAUSTIVE, RANDOM, _sample_points, diff_count, lattice_points
+from sumlab.search import EXHAUSTIVE, RANDOM, _sample_points, lattice_points
 from conftest import _fraction_rref, oracle_diff_count
 
 
@@ -37,7 +37,7 @@ def test_canonical_form_translation_and_permutation():
     assert canon == ((0, 0), (0, 1), (1, 0))
     assert min(c[0] for c in canon) == 0 and min(c[1] for c in canon) == 0
     # |A - A| invariant under the canonical group
-    assert diff_count(pts) == diff_count(canon) == oracle_diff_count(canon)
+    assert oracle_diff_count(pts) == oracle_diff_count(canon)
 
 
 def test_canonical_group_preserves_difference_count():
@@ -49,7 +49,7 @@ def test_canonical_group_preserves_difference_count():
         rng.shuffle(perm)
         shift = tuple(rng.randint(-3, 3) for _ in range(d))
         moved = [tuple(p[i] + shift[i] for i in perm) for p in pts]
-        assert diff_count(pts) == diff_count(moved) == oracle_diff_count(moved)
+        assert oracle_diff_count(pts) == oracle_diff_count(moved)
         assert canonical_form(pts) == canonical_form(moved)
 
 
@@ -349,9 +349,12 @@ def test_random_probe_deterministic():
 def test_random_probe_canonicalises_only_final_ties(monkeypatch):
     # a trial that ties a running best that a later trial beats is never canonicalised: 1 call
     # here, where canonicalising every tie of the running best would make 6
+    import sumlab.pointset
+
     calls, values = [], []
+    real_count = sumlab.pointset._self_count
     monkeypatch.setattr(search, "canonical_form", lambda pts, u: calls.append(1) or canonical_form(pts, u))
-    monkeypatch.setattr(search, "diff_count", lambda pts: values.append(diff_count(pts)) or values[-1])
+    monkeypatch.setattr(sumlab.pointset, "_self_count", lambda *args: values.append(real_count(*args)) or values[-1])
     result = random_probe(SearchSpec(2, 6, (4, 4), RANDOM, seed=1, trials=40))
     assert len(values) == 40
     assert len(calls) == values.count(result.best_value) == len(result.witnesses)
@@ -407,34 +410,47 @@ def test_random_probe_records_each_violating_trial():
 
 def test_random_probe_resamples_until_full_dimensional(monkeypatch):
     ranks = []
-    real = search.affine_rank
-    monkeypatch.setattr(search, "affine_rank", lambda pts: ranks.append(pts) or real(pts))
+    real = search.affine_dimension
+    monkeypatch.setattr(search, "affine_dimension", lambda a: ranks.append(a) or real(a))
     result = random_probe(SearchSpec(2, 3, (2, 1), RANDOM, seed=0, trials=40, require_full_dim=True))
-    assert result.candidates_examined == 40 and len(ranks) == 55
-    assert all(real(w.ints) == 2 for w in result.witnesses)
+    # 40 trials and 3 redraws of a collinear set
+    assert result.candidates_examined == 40 and len(ranks) == 43
+    assert all(real(w) == 2 for w in result.witnesses)
     with pytest.raises(ValueError, match="box extent 0 on axis 1"):
         SearchSpec(2, 3, (3, 0), RANDOM, seed=0, trials=40, require_full_dim=True)
     # a box that is not flat still gives up after 500 draws that all fail to span the space
-    monkeypatch.setattr(search, "affine_rank", lambda pts: 0)
+    monkeypatch.setattr(search, "affine_dimension", lambda a: 0)
     with pytest.raises(ValueError, match="could not sample a full-dimensional subset"):
         random_probe(SearchSpec(2, 3, (3, 1), RANDOM, seed=0, trials=40, require_full_dim=True))
 
 
 def test_random_probe_with_a_claim_ranks_and_counts_each_trial_once(monkeypatch):
-    # a trial's set is built once, so check_claim's full-dimension test and |A - A| are memo hits
+    # a trial's set is built once, so check_claim's full-dimension test and |A - A| are memo hits,
+    # and the result's re-check of its witnesses counts on plain tuples
     import sumlab.pointset
 
     draws, calls = [], []
     real_sample = search._sample_points
     monkeypatch.setattr(search, "_sample_points", lambda *args: draws.append(1) or real_sample(*args))
-    for name in ("affine_rank", "_pairwise"):
+    for name in ("affine_rank", "_self_count", "_pairwise"):
         real = getattr(sumlab.pointset, name)
         monkeypatch.setattr(sumlab.pointset, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    spec = SearchSpec(3, 4, (1, 1, 1), RANDOM, seed=5, trials=30, claim="MAIN", as_conjecture=True, require_full_dim=True)
-    result = random_probe(spec)
-    assert calls.count("affine_rank") == len(draws) > 30
-    # one count per trial, and one per witness in the result's re-check
-    assert calls.count("_pairwise") == 30 + len(result.witnesses)
+    for claim in (None, "MAIN"):
+        draws.clear(), calls.clear()
+        spec = SearchSpec(3, 4, (1, 1, 1), RANDOM, seed=5, trials=30, claim=claim, as_conjecture=True, require_full_dim=True)
+        random_probe(spec)
+        assert calls.count("affine_rank") == len(draws) > 30, claim
+        assert calls.count("_self_count") == 30 and "_pairwise" not in calls, claim
+
+
+def test_the_witness_recheck_does_not_read_the_count_it_checks(monkeypatch):
+    # every trial's |A - A| through pointset is one short; the re-check on plain tuples sees it
+    import sumlab.pointset
+
+    real = sumlab.pointset._self_count
+    monkeypatch.setattr(sumlab.pointset, "_self_count", lambda a, sign: real(a, sign) - 1)
+    with pytest.raises(RuntimeError, match=r"does not have \|W - W\| = 8$"):
+        random_probe(SearchSpec(2, 4, (2, 2), RANDOM, seed=0, trials=5))
 
 
 def test_exhaustive_walk_without_a_witness_is_an_internal_fault(monkeypatch, capsys):
