@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 import traceback
@@ -221,14 +222,11 @@ def _cmd_reduce(args, a, b) -> tuple[dict, int]:
     if b is None:
         b = PointSet.of(a.dim, [(0,) * a.dim])
     a2, b2, trace = reduce_lines(a, b, Direction.of(_parse_ints(args.direction)))
-    report_a, report_b = a2, b2
     if args.denormalize:
-        inverse = trace.initial_affine.inverse
-        report_a = apply_affine(a2, inverse)
-        report_b = apply_affine(b2, inverse)
+        a2, b2 = (apply_affine(x, trace.initial_affine.inverse) for x in (a2, b2))
     report = {
-        "a": report_a.to_json(),
-        "b": report_b.to_json(),
+        "a": a2.to_json(),
+        "b": b2.to_json(),
         "normalized_frame": not args.denormalize,
         "trace": trace.to_json(),
     }
@@ -341,8 +339,14 @@ _HANDLERS = {
 
 
 def cli_dispatch(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads "-1/2" as a flag, so a token that starts with "-" and a digit (no flag does) joins its flag
+    joined: list[str] = []
+    for tok in argv:
+        if joined and re.match(r"-[0-9]", tok) and re.fullmatch(r"--\w[\w-]*", joined[-1]):
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    args = build_parser().parse_args(joined)
     hashes: dict[str, str] = {}
     try:
         _parse_int_flags(args)

@@ -16,8 +16,8 @@ from fractions import Fraction
 from .incidence import Direction, Hyperplane, _dot, _group, _shadow, _shadow_keys, line_partition
 from .linalg import affine_basis
 from .pointset import (
-    AffineMap, Point, PointSet, _from_integers, _json_fields, affine_dimension, apply_affine, coerce_point,
-    sumset_count, unit,
+    AffineMap, Point, PointSet, _from_integers, _json_fields, _map_from_integers, affine_dimension, apply_affine,
+    coerce_point, sumset_count, unit,
 )
 
 
@@ -198,15 +198,13 @@ def _normalizing_map(a: PointSet, fibers: list[list[int]]) -> AffineMap:
     greedy rank extension in lexicographic order fills e_1 .. e_{d-1}.
 
     Each fiber lists the indices of A's points on one line, in the points' order.
-    The fiber is the one with the smallest first point, and the rank
-    extension runs on the set's integer points, the points times its scale s
-    (a positive factor, so it keeps the same vectors), each divided by s."""
-    s, pts = a.scale, a.ints
+    The fiber is the one with the smallest first point, and the rank extension runs on
+    the set's integer points (the points times s, its scale, with the same vectors), so the
+    map is the inverse of x -> (C x + q) / s, q the integer point sent to 0, C's columns the vectors."""
+    pts = a.ints
     i0, i1 = min(fiber[:2] for fiber in fibers if len(fiber) >= 2)
     along, *rest = affine_basis((pts[i0], pts[i1], *pts))
-    columns = [*rest, along]
-    mat = tuple(tuple(Fraction(col[i], s) for col in columns) for i in range(a.dim))
-    return AffineMap(mat, tuple(Fraction(c, s) for c in pts[i0])).inverse
+    return _map_from_integers(a.scale, list(zip(*rest, along)), pts[i0]).inverse
 
 
 def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, CompressionTrace]:
@@ -259,31 +257,32 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
     for axis in range(d - 2, -1, -1):
         run(_axis_spec(d, axis))
 
+    # down-closed nonnegative integer points have scale 1, which each slanted step below keeps (its
+    # canonical direction has first entry 1, so |n.v| = 1): from here on x.ints are x's points
     _assert_downclosed(x)
-    missing = [p for p in [(0,) * d] + [unit(d, i) for i in range(d)] if p not in x]
+    missing = [p for p in [(0,) * d] + [unit(d, i) for i in range(d)] if p not in x._members]
     if missing:
         raise RuntimeError(f"axis compressions lost the unit simplex points {missing}")
 
     # the points are in lexicographic order, so the last one has the largest first coordinate
     slab_plane = _axis_spec(d, 0).hyperplane
     while True:
-        slab_count = 1 + x.points[-1][0]
+        slab_count = 1 + x.ints[-1][0]
         if slab_count < 2:
             raise RuntimeError("the set lies in one slab along the first axis")
-        anchors = [p for p in x.points if p[0] == 0 and p[-1] == 0]
+        anchors = [p for p in x.ints if p[0] == 0 and p[-1] == 0]
         w = max(anchors, key=lambda p: (sum(p[1:-1]), p))
         f = tuple(1 if i == 0 else -w[i] for i in range(d))
-        run(CompressionSpec(slab_plane, Direction.of(f)))
+        run(CompressionSpec(slab_plane, Direction(f)))
         if slab_count == 2:
             break
-        new_count = 1 + x.points[-1][0]
+        new_count = 1 + x.ints[-1][0]
         if new_count >= slab_count:
             raise RuntimeError(f"slab count must strictly decrease, went {slab_count} to {new_count}")
 
-    axis_heights = [p[-1] for p in x.points if all(c == 0 for c in p[:-1]) and p[-1] >= 1]
-    run_top = max(axis_heights)
+    run_top = max(p[-1] for p in x.ints if all(c == 0 for c in p[:-1]) and p[-1] >= 1)
     g = tuple(1 if i == 0 else (-run_top if i == d - 1 else 0) for i in range(d))
-    run(CompressionSpec(slab_plane, Direction.of(g)))
+    run(CompressionSpec(slab_plane, Direction(g)))
 
     if problems := _form_problems(x, s):
         raise RuntimeError(f"reduction postcondition failed: {'; '.join(problems)}")

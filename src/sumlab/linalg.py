@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul, sub
 from typing import Iterable, Sequence
-
-Vector = tuple[int | Fraction, ...]
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _eliminate(vectors: Iterable[Sequence]) -> tuple[list, list[tuple[int, list]]]:
@@ -47,7 +43,7 @@ def affine_rank(points: Sequence[Sequence]) -> int:
     return len(affine_basis(points))
 
 
-def kernel_vector(mat: Sequence[Sequence], ncols: int) -> Vector | None:
+def kernel_vector(mat: Sequence[Sequence], ncols: int) -> tuple | None:
     """One nonzero kernel vector of the row system, or None if the kernel is trivial.
 
     It is nonzero in the first non-pivot column and zero in the others.
@@ -68,20 +64,13 @@ def kernel_vector(mat: Sequence[Sequence], ncols: int) -> Vector | None:
     return tuple(v)
 
 
-def invert_matrix(mat: Sequence[Sequence]) -> Matrix | None:
-    """Inverse of a square rational matrix, or None if singular.
+def invert_matrix(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, k) with k / den the inverse of an invertible square integer matrix, den > 0.
 
-    With s_i the lcm of row i's denominators, column j of the inverse is the
-    kernel vector of the integer rows [s_i M_i | -s_i [i == j]] over its last entry.
+    Column j of den * inverse is the kernel vector v of the rows [M_i | -[i == j]]
+    times den / v_n, v_n its last entry and den the lcm of the last entries.
     """
-    n = len(mat)
-    scales = [lcm(*(x.denominator for x in row)) for row in mat]
-    rows = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(mat, scales)]
-    if len(greedy_basis(rows)) < n:
-        return None
-    columns = [
-        kernel_vector([[*row, -s if i == j else 0] for i, (row, s) in enumerate(zip(rows, scales))], n + 1)
-        for j in range(n)
-    ]
-    return tuple(tuple(Fraction(v[i], v[n]) for v in columns) for i in range(n))
-
+    n = len(rows)
+    columns = [kernel_vector([[*row, -1 if i == j else 0] for i, row in enumerate(rows)], n + 1) for j in range(n)]
+    den = lcm(*(v[n] for v in columns))
+    return den, tuple(tuple(v[i] * (den // v[n]) for v in columns) for i in range(n))

@@ -371,12 +371,10 @@ class AffineMap:
 
     @cached_property
     def inverse(self) -> "AffineMap":
-        # y = (R x + t') / m solves to x = m R^-1 y - R^-1 t'
-        inv = invert_matrix(self.rows)
-        return AffineMap(
-            tuple(tuple(self.scale * c for c in row) for row in inv),
-            tuple(-sum(map(mul, row, self.shift)) for row in inv),
-        )
+        # with R^-1 = K / D, y = (R x + t') / m solves to x = (m K y - K t') / D
+        den, k = invert_matrix(self.rows)
+        m, t = self.scale, self.shift
+        return _map_from_integers(den, [[m * c for c in row] for row in k], [-sum(map(mul, row, t)) for row in k])
 
     def to_json(self) -> dict:
         return {
@@ -390,6 +388,16 @@ class AffineMap:
         if not isinstance(matrix, list):
             raise ValueError(f"'matrix' must be a list of rows, got {matrix!r}")
         return cls.of(matrix, translation)
+
+
+def _map_from_integers(scale: int, rows: Sequence[Sequence[int]], shift: Sequence[int]) -> AffineMap:
+    """x -> (rows @ x + shift) / scale over its least scale, trusting that the scale is positive and the integer
+    matrix invertible (no rank test); outside maps enter through `AffineMap(...)` and `AffineMap.of`."""
+    g = gcd(scale, *chain(*rows, shift))
+    *rows, shift = [tuple([x // g for x in row]) for row in (*rows, shift)]
+    out = object.__new__(AffineMap)
+    out.__dict__.update(scale=scale // g, rows=tuple(rows), shift=shift)
+    return out
 
 
 def apply_affine(a: PointSet, t: AffineMap) -> PointSet:

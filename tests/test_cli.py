@@ -274,6 +274,24 @@ def test_integer_flags_are_strict(capsys, command, value):
 @pytest.mark.parametrize(
     "command",
     [
+        ["lines", "--direction", "-1,1"],
+        ["compress", "--normal", "-1,0", "--offset", "-1/2", "--direction", "-1,2"],
+        ["claims", "--claim", "DLINES", "--direction", "-1,1"],
+        ["bounds", "--claim", "LINES_4D", "--d", "4", "--n", "10", "--eps", "-1/2", "--cd", "-5/2"],
+        # a value argparse already takes, and one the number grammar refuses
+        ["bounds", "--claim", "LINES_4D", "--d", "4", "--n", "10", "--eps", "-1", "--cd", "-1.5"],
+    ],
+    ids=["lines", "compress", "claims", "bounds", "bounds-refused"],
+)
+def test_negative_value_as_its_own_token(square, command):
+    argv = [*command, "--input", square] if command[0] != "bounds" else command
+    joined = [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    assert run_cli(argv) == run_cli([argv[0], *joined])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
         ["compress", "--normal", "1.0,0", "--offset", "0", "--direction", "1,-1"],
         ["compress", "--normal", "1,0", "--offset", "0.0", "--direction", "1,-1"],
         ["compress", "--normal", "1,0", "--offset", "0", "--direction", "1,-1.0"],

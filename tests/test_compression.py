@@ -172,6 +172,50 @@ def test_reduce_inverts_exactly_one_matrix(monkeypatch):
     assert trace.initial_affine.inverse.inverse == trace.initial_affine
 
 
+COMB = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 2, 0), (0, 3, 0), (1, 0, 0)]
+
+
+@pytest.mark.parametrize(
+    "points, b_points, vec",
+    [
+        ([(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 0), (1, 2)], (0, 1)),
+        ([("1/3", 0), ("1/3", "1/2"), ("1/3", 1), ("5/6", 0), ("5/6", "1/2")], [("1/2", 0), (0, "2/3")], (0, 1)),
+        # four slabs along the first axis of the normalized frame, so the slab loop runs twice
+        (COMB, [(0, 0, 0), (1, 2, 3)], (0, 0, 1)),
+        # COMB under x -> (2x/3 + 1/2, 2y/3, y - z/3), which keeps lines along e_3
+        (
+            [(Fraction(2 * x, 3) + Fraction(1, 2), Fraction(2 * y, 3), y - Fraction(z, 3)) for x, y, z in COMB],
+            [("1/5", 0, 0), (0, 1, "1/2")],
+            (0, 0, 1),
+        ),
+    ],
+    ids=["d2-integer", "d2-rational", "d3-integer", "d3-rational"],
+)
+def test_reduce_parses_none_of_its_own_values(monkeypatch, points, b_points, vec):
+    # outside values are checked once, when the operands and the direction are built
+    import sumlab.compression
+    import sumlab.incidence
+    import sumlab.pointset
+
+    d = len(vec)
+    a, b, l = pset(d, points), pset(d, b_points), Direction.of(vec)
+    calls = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        label = f"{owner.__name__}.{name}"
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(label) or real(*args))
+
+    for module in (sumlab.pointset, sumlab.incidence, sumlab.compression):
+        count(module, "coerce_point")
+    for module in (sumlab.pointset, sumlab.incidence):
+        count(module, "_scaled")
+    count(sumlab.pointset.AffineMap, "__init__")
+    a2, b2, _ = reduce(a, b, l)
+    assert calls == []
+    assert (len(a2), len(b2)) == (len(a), len(b))
+
+
 def test_reduce_rejects_bad_inputs():
     flat = pset(2, [(0, 0), (1, 0), (2, 0)])
     with pytest.raises(ValueError):

@@ -13,16 +13,16 @@ radix, also range over sets in d = 1..4 with n = 1..12, integer or rational
 on each axis, negative coordinates, zero-span axes and collinear sets, and
 must equal the two-operand count on an equal but distinct set. The `linalg`
 elimination is pinned through `affine_dimension` on flats of every rank in
-d = 1..5, and through `kernel_vector` and
-`invert_matrix` on matrices of up to 5 x 5 of every rank, with integer,
-rational and mixed int/Fraction entries. `compress` (image and point map)
-and `apply_affine` range over d = 1..4 with integer, rational and mixed
-points, rational offsets and translations, |n.v| up to 16 (anchors with a
-denominator neither the points nor the offset have), lines of one point and
-lines of several. `AffineMap` ranges over invertible integer, rational and
-mixed maps in d = 1..4: it has the least scale, its Fraction views give it
-back, it is the inverse of its inverse, the inverse undoes its image, and
-making the last row a combination of the others makes it singular. Every kernel that builds a set is checked to give the set
+d = 1..5, through `kernel_vector` on matrices of up to 5 x 5 of every rank,
+with integer, rational and mixed int/Fraction entries, and through
+`invert_matrix` on invertible integer matrices of up to 5 x 5. `compress`
+(image and point map) and `apply_affine` range over d = 1..4 with integer,
+rational and mixed points, rational offsets and translations, |n.v| up to 16
+(anchors with a denominator neither the points nor the offset have), lines
+of one point and lines of several. `AffineMap` ranges over invertible integer, rational and
+mixed maps in d = 1..4: it and its inverse have the least scale, its Fraction
+views give it back, it is the inverse of its inverse, the inverse undoes its
+image, and making the last row a combination of the others makes it singular. Every kernel that builds a set is checked to give the set
 that `PointSet.of` gives on its points, with the least scale, over d = 1..4
 and integer, rational and mixed operands, including results whose
 denominator shrinks. The packed-code kernels (the counts, `sumset`,
@@ -390,11 +390,11 @@ def test_affine_dimension_matches_oracle(case):
 
 
 @st.composite
-def matrices(draw, square=False):
+def matrices(draw):
     """(ncols, rows): 1..5 rows of 1..5 columns, of every rank, with integer, rational or mixed
     entries; a row past the drawn rank is an integer combination of the rows before it."""
     nrows = draw(st.integers(1, 5))
-    ncols = nrows if square else draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 5))
     dens, _ = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
     rank = draw(st.integers(0, min(nrows, ncols)))
     rows = draw(st.lists(st.tuples(*[_coords(dens)] * ncols), min_size=rank, max_size=rank))
@@ -422,17 +422,24 @@ def test_kernel_vector_matches_oracle(case):
         assert all(type(x) is int for x in v)
 
 
+@st.composite
+def invertible_matrices(draw):
+    """(n, rows): an invertible n x n integer matrix, n = 1..5."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=n, max_size=n))
+    assume(_rank(rows) == n)
+    return n, rows
+
+
 @PROPERTY
-@given(matrices(square=True))
+@given(invertible_matrices())
 def test_invert_matrix_matches_oracle(case):
     n, rows = case
-    inv = invert_matrix(rows)
-    if _rank(rows) < n:
-        assert inv is None
-        return
-    assert all(type(x) is Fraction for row in inv for x in row)
-    product = [[sum(a * inv[k][j] for k, a in enumerate(row)) for j in range(n)] for row in rows]
-    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+    den, k = invert_matrix(rows)
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for row in k for x in row)
+    product = [[sum(a * k[i][j] for i, a in enumerate(row)) for j in range(n)] for row in rows]
+    assert product == [[den * (i == j) for j in range(n)] for i in range(n)]
 
 
 @st.composite
@@ -516,6 +523,8 @@ def test_affine_map_has_the_least_scale_and_inverts(case, coefficients):
     again = AffineMap.of(m.matrix, m.translation)
     assert m == again and hash(m) == hash(again)
     assert m.inverse.inverse == m
+    # built from its own Fraction views the inverse compares equal, so it has the least scale
+    assert m.inverse == AffineMap.of(m.inverse.matrix, m.inverse.translation)
     a = PointSet.of(d, pts)
     assert apply_affine(apply_affine(a, m), m.inverse) == a
     # a last row that is a rational combination of the others (zero for d = 1) makes the matrix singular

@@ -84,6 +84,12 @@ CASES = {
         "reduce_comb()",
         "set is not down-closed",
     ),
+    "reduce_integer_coordinates": (
+        # halved, the points leave the integer lattice, so the slab loop could not read them as ints
+        "from_step(2, lambda x, image: PointSet.of(3, [tuple(c / 2 for c in p) for p in image]))\n"
+        "reduce_comb()",
+        "expected nonnegative integer coordinates",
+    ),
     "reduce_simplex": (
         # a column on the last axis is down-closed but misses e_1 and e_2
         "from_step(2, lambda x, image: PointSet.of(3, [(0, 0, k) for k in range(len(image))]))\n"
