@@ -7,24 +7,31 @@ from operator import mul, sub
 from typing import Iterable, Sequence
 
 
-def _eliminate(vectors: Iterable[Sequence]) -> tuple[list, list[tuple[int, list]]]:
+def _eliminate(vectors: Iterable[Sequence]) -> tuple[list, list[tuple[int, Sequence]]]:
     """(kept, reduced): the vectors outside the span of those kept before them, and their
     (pivot, reduced row).  A reduced row is zero in the earlier pivots and its pivot is its
-    first nonzero column.  Stops once the rows span the space.
+    first nonzero column; it is the vector itself, not a copy, when no earlier row touched it,
+    so no caller may change a vector or a row it hands in or gets back.  Stops once the rows
+    span the space.
     """
     kept: list = []
-    reduced: list[tuple[int, list]] = []
+    reduced: list[tuple[int, Sequence]] = []
     for v in vectors:
-        r = list(v)
+        r = v
         for col, row in reduced:
-            if r[col]:
-                r = [row[col] * x - r[col] * y for x, y in zip(r, row)]
-        pivot = next((i for i, x in enumerate(r) if x), None)
-        if pivot is not None:
-            kept.append(v)
-            reduced.append((pivot, r))
-            if len(kept) == len(r):
+            x = r[col]
+            if x:
+                y = row[col]
+                r = [y * a - x * b for a, b in zip(r, row)]
+        for pivot, x in enumerate(r):
+            if x:
                 break
+        else:
+            continue
+        kept.append(v)
+        reduced.append((pivot, r))
+        if len(kept) == len(r):
+            break
     return kept, reduced
 
 
@@ -35,7 +42,8 @@ def greedy_basis(vectors: Iterable[Sequence]) -> list:
 
 def affine_basis(points: Sequence[Sequence]) -> list:
     """Greedy basis of the differences {p - points[0]}."""
-    return greedy_basis(tuple(map(sub, p, points[0])) for p in points[1:])
+    p0 = points[0]
+    return _eliminate([tuple(map(sub, p, p0)) for p in points[1:]])[0]
 
 
 def affine_rank(points: Sequence[Sequence]) -> int:

@@ -153,9 +153,12 @@ class PointSet:
         return self.scale % m == 0 and tuple([x * (self.scale // m) for x in p]) in self._members
 
     def to_json(self) -> dict:
+        # the text of each distinct coordinate is written once, from the ints: x / scale in lowest terms
+        s = self.scale
+        text = {x: str(x) if s == 1 else str(Fraction(x, s)) for x in {x for p in self.ints for x in p}}
         return {
             "dim": self.dim,
-            "points": [[str(c) for c in p] for p in self.points],
+            "points": [[text[x] for x in p] for p in self.ints],
         }
 
     @classmethod

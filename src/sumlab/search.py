@@ -62,7 +62,7 @@ from ._version import __version__
 from .bounds import COUNTEREXAMPLE, ClaimReport, _NEEDS_B, _NEEDS_L, check_claim, check_domain
 from .incidence import Direction
 from .linalg import affine_rank
-from .pointset import PointSet, _from_integers, _pack, _unpack, affine_dimension, difference_count
+from .pointset import PointSet, _from_integers, _from_sorted, _pack, _unpack, affine_dimension, difference_count
 
 IntPoint = tuple[int, ...]
 
@@ -248,10 +248,16 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
         for w in weights:
             if tuple(sorted([sum(map(mul, p, w)) for p in pts])) < chosen:
                 return
-        if spec.require_full_dim and affine_rank(pts) != spec.d:
-            return
-        if spec.claim is not None:
-            report = _check_candidate_claim(spec, _from_integers(spec.d, 1, pts), None)
+        if spec.claim is None:
+            if spec.require_full_dim and affine_rank(pts) != spec.d:
+                return
+        else:
+            # the leaf's points are in index order, which is lexicographic; the set is built once,
+            # so check_claim's rank of it is a memo hit
+            a = _from_sorted(spec.d, 1, pts)
+            if spec.require_full_dim and affine_dimension(a) != spec.d:
+                return
+            report = _check_candidate_claim(spec, a, None)
             if report.verdict == COUNTEREXAMPLE:
                 violations.append(report)
         if value < best:
@@ -295,19 +301,30 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
 def _search_result(
     spec: SearchSpec, best: int, witnesses: Iterable[tuple[IntPoint, ...]], examined: int, violations: list
 ) -> SearchResult:
-    """The result with the first WITNESS_CAP witnesses, each re-checked to attain best."""
-    witness_sets = tuple(_from_integers(spec.d, 1, w) for w in sorted(witnesses)[:WITNESS_CAP])
-    for w in witness_sets:
-        if _tuple_diff_count(w.ints) != best:
-            raise RuntimeError(f"witness {w.to_json()} does not have |W - W| = {best}")
-        if spec.require_full_dim and affine_rank(w.ints) != spec.d:
-            raise RuntimeError(f"witness {w.to_json()} does not span dimension {spec.d}")
-    return SearchResult(spec, best, witness_sets, examined, tuple(violations))
+    """The result with the first WITNESS_CAP witnesses, each re-checked to attain best.
+
+    Both callers hand over each witness as spec.n integer points in strictly increasing order
+    (the walk's index order, `canonical_form`'s sorted tuples), which `_from_sorted` and the
+    half count of `_tuple_diff_count` trust, so that order is checked first."""
+    witness_sets = []
+    for w in sorted(witnesses)[:WITNESS_CAP]:
+        if len(w) != spec.n or any(p >= q for p, q in zip(w, w[1:])):
+            raise RuntimeError(f"witness {list(w)} is not {spec.n} strictly increasing points")
+        a = _from_sorted(spec.d, 1, w)
+        if _tuple_diff_count(w) != best:
+            raise RuntimeError(f"witness {a.to_json()} does not have |W - W| = {best}")
+        if spec.require_full_dim and affine_rank(w) != spec.d:
+            raise RuntimeError(f"witness {a.to_json()} does not span dimension {spec.d}")
+        witness_sets.append(a)
+    return SearchResult(spec, best, tuple(witness_sets), examined, tuple(violations))
 
 
 def _tuple_diff_count(pts: Sequence[IntPoint]) -> int:
-    """|A - A| on plain tuples: the witness re-check shares no code with the counts it checks."""
-    return len({tuple(map(sub, p, q)) for p in pts for q in pts})
+    """|A - A| on a nonempty tuple of plain tuples in strictly increasing order: each p - q with
+    q before p is lexicographically positive, its negation is negative, and 0 is the one
+    difference left, so |A - A| = 2 |{p - q : q before p}| + 1.  The witness re-check shares no
+    code with the counts it checks."""
+    return 2 * len({tuple(map(sub, p, q)) for q, p in itertools.combinations(pts, 2)}) + 1
 
 
 def random_probe(spec: SearchSpec) -> SearchResult:

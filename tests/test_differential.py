@@ -11,7 +11,11 @@ difference of two set points. The counts `sumset_count` and
 operand with itself; a set's own counts, packed once under its balanced
 radix, also range over sets in d = 1..4 with n = 1..12, integer or rational
 on each axis, negative coordinates, zero-span axes and collinear sets, and
-must equal the two-operand count on an equal but distinct set. The `linalg`
+must equal the two-operand count on an equal but distinct set. The same sets
+check `PointSet.to_json`, which writes its text from the integer points,
+against the text of the `Fraction` points and its own `from_json`, and the
+search's witness re-check, `_tuple_diff_count`, which counts the
+lexicographically positive half of A - A, against the oracle. The `linalg`
 elimination is pinned through `affine_dimension` on flats of every rank in
 d = 1..5, through `kernel_vector` on matrices of up to 5 x 5 of every rank,
 with integer, rational and mixed int/Fraction entries, and through
@@ -65,6 +69,7 @@ from sumlab import (
 from sumlab.compression import TraceStep
 from sumlab.linalg import invert_matrix, kernel_vector
 from sumlab.pointset import _pack, _unpack, difference_count, sumset_count
+from sumlab.search import _tuple_diff_count
 from conftest import (
     _fraction_rref,
     oracle_apply_affine,
@@ -182,6 +187,33 @@ def test_diff_count_matches_oracle(case):
     assert twin == a and twin is not a
     assert difference_count(a, a) == difference_count(a, twin) == oracle_diff_count(pts)
     assert sumset_count(a, a) == sumset_count(a, twin) == oracle_sum_count(pts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(self_count_sets())
+@example((2, [(-3, 0), (0, 2), (4, -1)]))
+@example((3, [(Fraction(-1, 2), 0, Fraction(2, 3))]))
+def test_to_json_writes_the_fraction_view(case):
+    # to_json writes each coordinate's text from the ints, at scale 1 and above, without the
+    # Fraction view; the text is that view's, and it reads back as the same set
+    d, pts = case
+    a = PointSet.of(d, pts)
+    obj = a.to_json()
+    assert "points" not in vars(a)
+    assert obj == {"dim": d, "points": [[str(c) for c in p] for p in a.points]}
+    assert PointSet.from_json(obj) == a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(self_count_sets())
+@example((3, [(0, 0, 0)]))
+@example((2, [(0, 0), (1, 0)]))
+def test_tuple_diff_count_matches_oracle(case):
+    # the witness re-check counts the lexicographically positive half of A - A on points in
+    # strictly increasing order, one-point sets included
+    _, pts = case
+    pts = tuple(sorted(pts))
+    assert _tuple_diff_count(pts) == oracle_diff_count(pts)
 
 
 @PROPERTY

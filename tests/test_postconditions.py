@@ -46,6 +46,12 @@ def break_witness_check():
     S._tuple_diff_count = lambda pts: real_count(pts) - 1
 
 
+def repeat_a_witness_point():
+    real_result = S._search_result
+    # each witness keeps its length but repeats its first point in place of its last
+    S._search_result = lambda spec, best, ws, *rest: real_result(spec, best, [w[:1] + w[:-1] for w in ws], *rest)
+
+
 def reduce_comb():
     reduce(comb, PointSet.of(3, []), Direction.of((0, 0, 1)))
 """
@@ -59,6 +65,14 @@ CASES = {
     "random_probe": (
         'break_witness_check(); random_probe(SearchSpec(2, 4, (2, 2), "RANDOM", seed=0, trials=5))',
         "witness",
+    ),
+    "exhaustive_min_diff_witness_order": (
+        'repeat_a_witness_point(); exhaustive_min_diff(SearchSpec(2, 4, (2, 2), "EXHAUSTIVE", seed=0))',
+        "witness [(0, 0), (0, 0), (0, 1), (1, 0)] is not 4 strictly increasing points",
+    ),
+    "random_probe_witness_order": (
+        'repeat_a_witness_point(); random_probe(SearchSpec(2, 4, (2, 2), "RANDOM", seed=0, trials=5))',
+        "witness [(0, 1), (0, 1), (0, 2), (2, 0)] is not 4 strictly increasing points",
     ),
     "reduce": (
         # the input keeps its dimension, the reduced set seems to lose one

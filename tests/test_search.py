@@ -194,6 +194,22 @@ def test_exhaustive_ranks_only_canonical_leaves(monkeypatch):
     assert rechecks == [w.ints for w in result.witnesses]
 
 
+def test_exhaustive_claim_leaf_is_ranked_once(monkeypatch):
+    # with a claim the leaf's set is built before its rank test, so check_claim's rank of that
+    # set is a memo hit: one elimination per ranked leaf (1,491 here), and one per witness in
+    # the result's re-check
+    import sumlab.linalg
+    import sumlab.pointset
+
+    calls = []
+    for module, name in ((sumlab.linalg, "_eliminate"), (sumlab.pointset, "affine_rank")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    result = exhaustive_min_diff(SearchSpec(2, 5, (3, 3), EXHAUSTIVE, seed=0, claim="MAIN", require_full_dim=True))
+    assert calls.count("affine_rank") == 1491
+    assert calls.count("_eliminate") == 1491 + len(result.witnesses)
+
+
 @pytest.mark.parametrize(
     "d, n, box, full, best, witnesses, examined_pruned, examined_unpruned",
     [
