@@ -25,7 +25,7 @@ from .bounds import (
     check_claim,
     structure_diagnose,
 )
-from .compression import CompressionSpec, TraceStep, compress, reduce as reduce_lines
+from .compression import CompressionSpec, TraceStep, _slide, reduce as reduce_lines
 from .constructions import CONSTRUCTIONS
 from .incidence import Direction, Hyperplane, line_partition, min_line_cover
 from .pointset import (
@@ -204,14 +204,15 @@ def _cmd_compress(args, a, b) -> tuple[dict, int]:
         Hyperplane.of(_parse_ints(args.normal), args.offset),
         Direction.of(_parse_ints(args.direction)),
     )
-    image, mapping = compress(a, spec)
+    step = TraceStep(spec, a)
+    image = step._slid[0]
     report = {
         "spec": spec.to_json(),
         "result": image.to_json(),
-        "map": TraceStep(spec, tuple(mapping.items())).to_json()["map"],
+        "map": step.to_json()["map"],
     }
     if b is not None:
-        b_image = compress(b, spec)[0]
+        b_image = _slide(b, spec)[0]
         report["b_result"] = b_image.to_json()
         report["sum_before"] = sumset_count(a, b)
         report["sum_after"] = sumset_count(image, b_image)

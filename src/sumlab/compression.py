@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .incidence import Direction, Hyperplane, _dot, _group, _shadow, _shadow_keys, line_partition
 from .linalg import affine_basis
 from .pointset import (
-    AffineMap, Point, PointSet, _from_integers, _json_fields, _map_from_integers, affine_dimension, apply_affine,
-    coerce_point, sumset_count, unit,
+    AffineMap, Point, PointSet, _from_integers, _json_fields, _map_from_integers, _scaled, _texts, affine_dimension,
+    apply_affine, coerce_point, sumset_count, unit,
 )
 
 
@@ -50,14 +51,15 @@ def compress(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, dict[Point, 
     along the direction, so the result is a pointwise bijection and
     cardinality is preserved.  Returns (image, point map), the map in the order of a's points.
     """
-    image, moved = _slide(a, spec)
+    image, _, moved = _slide(a, spec)
     # the images are distinct, so sorting them lines them up with the image's points
     as_fractions = dict(zip(sorted(moved), image.points))
     return image, {p: as_fractions[m] for p, m in zip(a.points, moved)}
 
 
-def _slide(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, list[tuple[int, ...]]]:
-    """(image, moved) of `compress`, moved[i] the image of a.ints[i] over a multiple of its scale.
+def _slide(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, int, list[tuple[int, ...]]]:
+    """(image, scale, moved) of `compress`, moved[i] the image of a.ints[i] over the scale, a multiple
+    of the image's.
 
     With the points p' / s, the offset c = c' / q and k = |n.v|, the anchor of
     the fiber starting at p is u = p + (c - n.p) / (n.v) v, and over the scale
@@ -82,7 +84,7 @@ def _slide(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, list[tuple[int
     image = _from_integers(a.dim, s * q * k, moved)
     if len(image) != len(a):
         raise RuntimeError(f"compression postcondition failed: {len(a)} points went to {len(image)}")
-    return image, moved
+    return image, s * q * k, moved
 
 
 def compress_pair(a: PointSet, b: PointSet, spec: CompressionSpec) -> tuple[PointSet, PointSet]:
@@ -92,17 +94,19 @@ def compress_pair(a: PointSet, b: PointSet, spec: CompressionSpec) -> tuple[Poin
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One compression and its point map, a bijection of Fraction points: `compress` builds one and
-    `from_json` checks one, while `replay` refuses a hand-built step that merges points."""
+    """One compression and the set it compresses; its point map is `_slide` of the set, computed once."""
 
     spec: CompressionSpec
-    mapping: tuple[tuple[Point, Point], ...]
+    source: PointSet
+
+    @cached_property
+    def _slid(self) -> tuple[PointSet, int, list[tuple[int, ...]]]:
+        return _slide(self.source, self.spec)
 
     def to_json(self) -> dict:
+        _, scale, moved = self._slid
         out = self.spec.to_json()
-        out["map"] = [
-            [[str(c) for c in pre], [str(c) for c in post]] for pre, post in self.mapping
-        ]
+        out["map"] = [list(pair) for pair in zip(_texts(self.source.scale, self.source.ints), _texts(scale, moved))]
         return out
 
 
@@ -110,9 +114,9 @@ class TraceStep:
 class CompressionTrace:
     """Ordered record of an applied compression chain.
 
-    `steps` carry the per-point maps for the first operand; `apply_specs`
-    re-runs the same chain on any other set, `replay` re-applies the recorded
-    maps and therefore only accepts the recorded input.
+    `steps` carry the sets of the first operand that the chain compressed;
+    `apply_specs` re-runs the same chain on any other set, `replay` re-applies
+    the recorded maps and therefore only accepts a subset of the recorded input.
     """
 
     steps: tuple[TraceStep, ...]
@@ -137,18 +141,16 @@ class CompressionTrace:
     def replay(self, x: PointSet) -> PointSet:
         if self.initial_affine is not None:
             x = apply_affine(x, self.initial_affine)
-        pts = x.points
         for step in self.steps:
-            lookup = dict(step.mapping)
-            try:
-                pts = [lookup[p] for p in pts]
-            except KeyError as exc:
-                raise ValueError("replay input does not match the recorded domain") from exc
-        # `of` merges repeated images, so a hand-built step that maps two points to one shows as a shorter set
-        out = PointSet.of(x.dim, pts)
-        if len(out) < len(x):
-            raise ValueError(f"replay maps {len(x)} points to {len(out)}: a trace step merges points")
-        return out
+            # a subset of the source has a least scale that divides the source's
+            r, rest = divmod(step.source.scale, x.scale)
+            _, scale, moved = step._slid
+            lookup = dict(zip(step.source.ints, moved))
+            pts = [tuple([c * r for c in p]) for p in x.ints]
+            if rest or not all(p in lookup for p in pts):
+                raise ValueError("replay input does not match the recorded domain")
+            x = _from_integers(x.dim, scale, [lookup[p] for p in pts])
+        return x
 
     def to_json(self) -> dict:
         return {
@@ -169,10 +171,16 @@ class CompressionTrace:
             (pairs,) = _json_fields(raw, "compression step", "map")
             if not isinstance(pairs, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
                 raise ValueError(f"'map' must be a list of [point, image] pairs, got {pairs!r}")
-            mapping = tuple((coerce_point(pre, dim), coerce_point(post, dim)) for pre, post in pairs)
-            if not len(mapping) == len({p for p, _ in mapping}) == len({q for _, q in mapping}):
-                raise ValueError("a trace step must map distinct points to distinct images, or replay shrinks the set")
-            steps.append(TraceStep(spec, mapping))
+            s, pre = _scaled([coerce_point(p, dim) for p, _ in pairs])
+            m, post = _scaled([coerce_point(q, dim) for _, q in pairs])
+            # over their least scale s the map's points are the source's ints, if none repeats, and an
+            # image q / m is the point moved / scale when m divides the scale and q times scale / m is moved
+            step = TraceStep(spec, _from_integers(dim, s, pre))
+            _, scale, moved = step._slid
+            images = [tuple([c * (scale // m) for c in q]) for q in post]
+            if scale % m or sorted(zip(pre, images)) != list(zip(step.source.ints, moved)):
+                raise ValueError("a trace step's map is not the compression of its points")
+            steps.append(step)
         return cls(tuple(steps), None if affine is None else AffineMap.from_json(affine))
 
 
@@ -184,12 +192,12 @@ def _axis_spec(dim: int, axis: int) -> CompressionSpec:
 
 def _assert_downclosed(a: PointSet) -> None:
     # at the set's scale s, a coordinate c is an integer when s divides it, and c - s is one below it
-    for p, q in zip(a.points, a.ints):
+    for q in a.ints:
         for i, c in enumerate(q):
             if c % a.scale or c < 0:
-                raise RuntimeError(f"expected nonnegative integer coordinates, got {p}")
+                raise RuntimeError(f"expected nonnegative integer coordinates, got {_texts(a.scale, [q])[0]}")
             if c > 0 and q[:i] + (c - a.scale,) + q[i + 1 :] not in a._members:
-                raise RuntimeError(f"set is not down-closed at {p}, axis {i}")
+                raise RuntimeError(f"set is not down-closed at {_texts(a.scale, [q])[0]}, axis {i}")
 
 
 def _normalizing_map(a: PointSet, fibers: list[list[int]]) -> AffineMap:
@@ -249,8 +257,8 @@ def reduce(a: PointSet, b: PointSet, l: Direction) -> tuple[PointSet, PointSet, 
 
     def run(spec: CompressionSpec) -> None:
         nonlocal x, y
-        x, mapping = compress(x, spec)
-        steps.append(TraceStep(spec, tuple(mapping.items())))
+        steps.append(TraceStep(spec, x))
+        x = steps[-1]._slid[0]
         y = _slide(y, spec)[0]
 
     run(_axis_spec(d, d - 1))
@@ -296,14 +304,14 @@ def _form_problems(x: PointSet, s: int) -> list[str]:
     d = x.dim
     lines = len({p[:-1] for p in x.ints})
     dim = affine_dimension(x)
-    off_slab = [p for p in x.points if p[0] != 0]
+    off_slab = [p for p in x.ints if p[0] != 0]
     problems = []
     if lines != s:
         problems.append(f"line count {lines} != {s}")
     if dim != d:
         problems.append(f"affine dimension {dim} != {d}")
-    if off_slab != [unit(d, 0)]:
-        problems.append(f"off-slab points {[[str(c) for c in p] for p in off_slab]} != [e_1]")
+    if off_slab != [(x.scale,) + (0,) * (d - 1)]:  # e_1 over the scale
+        problems.append(f"off-slab points {_texts(x.scale, off_slab)} != [e_1]")
     return problems
 
 

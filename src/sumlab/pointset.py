@@ -153,13 +153,7 @@ class PointSet:
         return self.scale % m == 0 and tuple([x * (self.scale // m) for x in p]) in self._members
 
     def to_json(self) -> dict:
-        # the text of each distinct coordinate is written once, from the ints: x / scale in lowest terms
-        s = self.scale
-        text = {x: str(x) if s == 1 else str(Fraction(x, s)) for x in {x for p in self.ints for x in p}}
-        return {
-            "dim": self.dim,
-            "points": [[text[x] for x in p] for p in self.ints],
-        }
+        return {"dim": self.dim, "points": _texts(self.scale, self.ints)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointSet":
@@ -170,6 +164,13 @@ class PointSet:
         if len(out) != len(points):
             raise ValueError("duplicate points in input")
         return out
+
+
+def _texts(scale: int, ints: Sequence[Sequence[int]]) -> list[list[str]]:
+    """The points / scale as lists of coordinate text, x / scale in lowest terms; the text of each
+    distinct coordinate is built once."""
+    text = {x: str(x) if scale == 1 else str(Fraction(x, scale)) for x in {x for p in ints for x in p}}
+    return [[text[x] for x in p] for p in ints]
 
 
 def _from_integers(dim: int, scale: int, points: Iterable[tuple[int, ...]]) -> PointSet:

@@ -97,7 +97,7 @@ def test_compress_takes_empty_to_empty():
     empty, spec = PointSet.of(2, []), CompressionSpec(H_Y0, E2)
     assert compress(empty, spec) == (empty, {})
     assert compress_pair(pset(2, [(0, 3), (1, 1)]), empty, spec) == (pset(2, [(0, 0), (1, 0)]), empty)
-    assert CompressionTrace((TraceStep(spec, ()),)).apply_specs(empty) == empty
+    assert CompressionTrace((TraceStep(spec, empty),)).apply_specs(empty) == empty
 
 
 @pytest.mark.parametrize(
@@ -278,7 +278,7 @@ def test_trace_replay_and_serialization():
         blob["steps"][0]["map"][0][1][0] = bad
         with pytest.raises(ValueError):
             CompressionTrace.from_json(blob)
-    # every recorded step map matches a fresh compression of its own domain
+    # every recorded step compresses the image of the step before, and its map is that compression's
     current = a
     if trace.initial_affine is not None:
         from sumlab import apply_affine
@@ -286,27 +286,9 @@ def test_trace_replay_and_serialization():
         current = apply_affine(a, trace.initial_affine)
     for step in trace.steps:
         image, mapping = compress(current, step.spec)
-        assert tuple(sorted(mapping.items())) == step.mapping
+        assert step.source == current
+        assert step.to_json()["map"] == [[[str(c) for c in p] for p in pair] for pair in mapping.items()]
         current = image
-
-
-def test_replay_checks_the_images_of_a_hand_built_step():
-    # from_json checks a parsed map's lengths; a hand-built step's images are checked as replay builds its set
-    spec = CompressionSpec(H_Y0, E2)
-    step = TraceStep(spec, (((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0), Fraction(0))),))
-    with pytest.raises(ValueError, match="length 3 in ambient dimension 2"):
-        CompressionTrace((step,)).replay(pset(2, [(0, 1)]))
-
-
-def test_replay_refuses_a_hand_built_step_that_merges_points():
-    # from_json refuses such a map; a step built in Python is caught when replay's set comes out shorter
-    merge = (
-        ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))),
-        ((Fraction(0), Fraction(2)), (Fraction(0), Fraction(0))),
-    )
-    trace = CompressionTrace((TraceStep(CompressionSpec(H_Y0, E2), merge),))
-    with pytest.raises(ValueError, match="replay maps 2 points to 1: a trace step merges points"):
-        trace.replay(pset(2, [(0, 1), (0, 2)]))
 
 
 def test_trace_from_json_rejects_float_direction_and_hyperplane():
@@ -355,6 +337,8 @@ def _corner_trace_json():
 TRACE_DEFECTS = {
     "two-points-one-image": lambda t: t["steps"][0]["map"].append([["1", "1"], ["0", "0"]]),
     "repeated-preimage": lambda t: t["steps"][0]["map"].append([["0", "0"], ["1", "1"]]),
+    # a bijection of the corner, but not its compression
+    "not-the-compression": lambda t: t["steps"][0]["map"][1].__setitem__(1, ["5", "7"]),
     "missing-steps": lambda t: t.pop("steps"),
     "steps-not-a-list": lambda t: t.update(steps=5),
     "missing-hyperplane": lambda t: t["steps"][0].pop("hyperplane"),

@@ -23,9 +23,12 @@ with integer, rational and mixed int/Fraction entries, and through
 (image and point map) and `apply_affine` range over d = 1..4 with integer,
 rational and mixed points, rational offsets and translations, |n.v| up to 16
 (anchors with a denominator neither the points nor the offset have), lines
-of one point and lines of several. `AffineMap` ranges over invertible integer, rational and
-mixed maps in d = 1..4: it and its inverse have the least scale, its Fraction
-views give it back, it is the inverse of its inverse, the inverse undoes its
+of one point and lines of several. `reduce` traces range over full-dimensional
+integer and rational sets in d = 2..4: the trace JSON round-trips to the same
+bytes, a proper subset (the empty set included) replays to its images under
+the oracle's maps step by step, and points off the domain are refused.
+`AffineMap` ranges over invertible integer, rational and mixed maps in
+d = 1..4: it and its inverse have the least scale, its Fraction views give it back, it is the inverse of its inverse, the inverse undoes its
 image, and making the last row a combination of the others makes it singular. Every kernel that builds a set is checked to give the set
 that `PointSet.of` gives on its points, with the least scale, over d = 1..4
 and integer, rational and mixed operands, including results whose
@@ -38,6 +41,7 @@ with zero-span axes and negative coordinates.
 """
 
 import itertools
+import json
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -62,6 +66,7 @@ from sumlab import (
     min_line_cover,
     negate,
     project_along,
+    reduce,
     sumset,
     supporting_hyperplanes,
     translate,
@@ -596,8 +601,8 @@ def test_every_kernel_output_has_the_least_scale(case):
     m = AffineMap.of([[factor * (i == j) for j in range(d)] for i in range(d)], shift)
     spec = CompressionSpec(Hyperplane.of(vec, offset), l)
     moved = apply_affine(a, m)
-    image, mapping = compress(moved, spec)
-    trace = CompressionTrace((TraceStep(spec, tuple(mapping.items())),), m)
+    image, _ = compress(moved, spec)
+    trace = CompressionTrace((TraceStep(spec, moved),), m)
     assert trace.replay(a) == image == trace.apply_specs(a)
     h = Hyperplane.of(vec, max(sum(n * c for n, c in zip(vec, p)) for p in pa))
     outs = [
@@ -613,3 +618,56 @@ def test_every_kernel_output_has_the_least_scale(case):
         off = (p[0] + Fraction(1, 2 * a.scale), *p[1:])
         assert p in a and off not in a
     assert all((q in a) == (q in members) for q in [*b.points, *sumset(a, b).points])
+
+
+@st.composite
+def reduce_cases(draw):
+    """(d, points, vec): a full-dimensional set in Q^d, d = 2..4, with integer or rational
+    coordinates and two of its points on one line along vec; in the plane the set lies on
+    exactly two lines along vec, the only case `reduce` takes there."""
+    d = draw(st.integers(2, 4))
+    dens, _ = DENOMINATORS[draw(st.sampled_from(["integer", "rational"]))]
+    point = st.tuples(*[_coords(dens)] * d)
+    if d == 2:
+        vec = draw(st.tuples(*[st.integers(-2, 2)] * 2).filter(any))
+        base0, base1 = draw(point), draw(point)
+        assume((base1[0] - base0[0]) * vec[1] != (base1[1] - base0[1]) * vec[0])
+        ks = st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True)
+        ks0, ks1 = draw(ks), draw(ks)
+        assume(len(ks0) + len(ks1) >= 3)
+        pts = [tuple(c + k * x for c, x in zip(base, vec)) for base, ks in ((base0, ks0), (base1, ks1)) for k in ks]
+        return d, pts, vec
+    pts = draw(st.lists(point, min_size=d + 2, max_size=d + 6, unique=True))
+    assume(affine_dimension(PointSet.of(d, pts)) == d)
+    i, j = draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2, unique=True))
+    return d, pts, tuple(x - y for x, y in zip(pts[i], pts[j]))
+
+
+@PROPERTY
+@given(reduce_cases(), st.data())
+def test_reduce_trace_round_trips_and_replays_each_subset(case, data):
+    d, pts, vec = case
+    a = PointSet.of(d, pts)
+    _, _, trace = reduce(a, PointSet.of(d, []), Direction.of(vec))
+    text = json.dumps(trace.to_json())
+    back = CompressionTrace.from_json(json.loads(text))
+    assert back == trace
+    assert json.dumps(back.to_json()) == text
+    # a proper subset, the empty set included, replays to its images under the oracle's maps of the whole chain
+    sub = data.draw(st.lists(st.sampled_from(a.points), max_size=len(a) - 1, unique=True))
+    m = trace.initial_affine
+    whole = oracle_apply_affine(a.points, m.matrix, m.translation)
+    want = oracle_apply_affine(sub, m.matrix, m.translation)
+    for step in back.steps:
+        spec = step.spec
+        whole, mapping = oracle_compress(whole, spec.hyperplane.normal, spec.hyperplane.offset, spec.direction.vec)
+        want = [mapping[p] for p in want]
+    assert back.replay(PointSet.of(d, sub)).points == tuple(sorted(want))
+    # outside the domain: the subset and a point beyond A's largest, and, with the steps alone, a
+    # point whose first coordinate has a denominator that does not divide the first domain's scale
+    last = a.points[-1]
+    source = back.steps[0].source
+    off = (source.points[0][0] + Fraction(1, 2 * source.scale), *source.points[0][1:])
+    for run, outside in [(back, [*sub, (last[0] + 1, *last[1:])]), (CompressionTrace(back.steps), [off])]:
+        with pytest.raises(ValueError, match="replay input does not match the recorded domain"):
+            run.replay(PointSet.of(d, outside))

@@ -25,19 +25,19 @@ assert not __debug__, "expected python -O"
 square = PointSet.of(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
 # four slabs along the first axis of the normalized frame, so reduce runs its slab loop twice
 comb = PointSet.of(3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 2, 0), (0, 3, 0), (1, 0, 0)])
-real_compress = C.compress
+real_slid = C.TraceStep._slid.func
 
 
 def from_step(k, change):
-    # from reduce's k-th compression step (0-based) on, the step hands back change(input, image)
+    # from reduce's k-th compression step (0-based) on, the step's slide hands back change(input, image)
     steps = []
 
-    def fake(x, spec):
-        steps.append(spec)
-        image, mapping = real_compress(x, spec)
-        return (change(x, image) if len(steps) > k else image), mapping
+    def fake(step):
+        steps.append(step.spec)
+        image, scale, moved = real_slid(step)
+        return (change(step.source, image) if len(steps) > k else image), scale, moved
 
-    C.compress = fake
+    C.TraceStep._slid = property(fake)
 
 
 def break_witness_check():
