@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .incidence import Direction, Hyperplane, _dot, _group, _shadow, _shadow_keys, line_partition
 from .linalg import affine_basis
@@ -61,30 +62,32 @@ def _slide(a: PointSet, spec: CompressionSpec) -> tuple[PointSet, int, list[tupl
     """(image, scale, moved) of `compress`, moved[i] the image of a.ints[i] over the scale, a multiple
     of the image's.
 
-    With the points p' / s, the offset c = c' / q and k = |n.v|, the anchor of
-    the fiber starting at p is u = p + (c - n.p) / (n.v) v, and over the scale
-    s q k it is the integer point q k p' + sign(n.v) (s c' - q n.p') v.
+    With the points p' / s, the offset c / q in lowest terms and k = |n.v|, the
+    anchor of the fiber starting at p is u = p + (c / q - n.p) / (n.v) v, and over
+    the scale s q k it is the integer point q k p' + sign(n.v) (s c - q n.p') v.
     """
     if len(spec.direction.vec) != a.dim:
         raise ValueError("compression dimension mismatch")
     v = spec.direction.vec
-    normal, offset = spec.hyperplane.normal, spec.hyperplane.offset
+    normal, (c, q) = spec.hyperplane.normal, spec.hyperplane.offset.as_integer_ratio()
     nv = _dot(normal, v)
-    s, pts = a.scale, a.ints
-    q, k = offset.denominator, abs(nv)
-    step = [s * q * k * x for x in v]
-    moved: list = [None] * len(pts)
-    # the indices of the points on each line parallel to v, in the points' order
-    for fiber in _group(range(len(pts)), _shadow_keys(pts, v)).values():
-        p0 = pts[fiber[0]]
-        t = (s * offset.numerator - q * _dot(normal, p0)) * (1 if nv > 0 else -1)
-        u = [q * k * c + t * x for c, x in zip(p0, v)]
-        for j, i in enumerate(fiber):
-            moved[i] = tuple([c + j * x for c, x in zip(u, step)])
-    image = _from_integers(a.dim, s * q * k, moved)
+    s, pts, qk = a.scale, a.ints, q * abs(nv)
+    step = [s * qk * x for x in v]
+    # each line's shadow key to the image of its last point so far (a.ints lists each line's points in order along v)
+    run, moved = {}, []
+    for p, key in zip(pts, _shadow_keys(pts, v)):
+        u = run.get(key)
+        if u is None:
+            t = (s * c - q * _dot(normal, p)) * (1 if nv > 0 else -1)
+            u = tuple([qk * x + t * y for x, y in zip(p, v)])
+        else:
+            u = tuple(map(add, u, step))
+        run[key] = u
+        moved.append(u)
+    image = _from_integers(a.dim, s * qk, moved)
     if len(image) != len(a):
         raise RuntimeError(f"compression postcondition failed: {len(a)} points went to {len(image)}")
-    return image, s * q * k, moved
+    return image, s * qk, moved
 
 
 def compress_pair(a: PointSet, b: PointSet, spec: CompressionSpec) -> tuple[PointSet, PointSet]:

@@ -110,7 +110,7 @@ def _shadow_keys(pts: Sequence[tuple[int, ...]], lv: tuple[int, ...]) -> list[tu
     """The key p |lv|^2 - (p . lv) lv of each integer point p: two keys are equal exactly when
     their points lie on one line parallel to lv."""
     norm = _dot(lv, lv)
-    return [tuple(x * norm - t * y for x, y in zip(p, lv)) for p in pts for t in (_dot(p, lv),)]
+    return [tuple([x * norm - t * y for x, y in zip(p, lv)]) for p in pts for t in (_dot(p, lv),)]
 
 
 def _group(items: Iterable, keys: Iterable) -> dict:

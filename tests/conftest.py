@@ -104,6 +104,14 @@ def pset(dim, points) -> PointSet:
     return PointSet.of(dim, points)
 
 
+class IntSubclass(int):
+    """An int type other than int and bool, such as an IntEnum."""
+
+
+class FractionSubclass(Fraction):
+    """A Fraction type other than Fraction."""
+
+
 def _fraction_rref(rows):
     """(reduced rows, pivot columns) of a Fraction matrix, by plain Gauss-Jordan elimination."""
     rows = [list(r) for r in rows]

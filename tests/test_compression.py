@@ -1,6 +1,8 @@
+import itertools
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -390,6 +392,54 @@ def test_repeated_number_text_reads_alike():
             blob["steps"][0]["map"][2][1][0] = text
             with pytest.raises(ValueError):
                 CompressionTrace.from_json(blob)
+
+
+def _respelled(obj, turn):
+    """obj with each number text written anew as the same number out of lowest terms ("2/4"), with
+    a leading zero ("03", "01/2") or with a zero sign or denominator ("-0", "1/02"), in turn."""
+    if isinstance(obj, dict):
+        return {key: _respelled(value, turn) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_respelled(x, turn) for x in obj]
+    if not isinstance(obj, str):
+        return obj
+    n, m = Fraction(obj).as_integer_ratio()
+    sign, n = "-" if n < 0 else "", abs(n)
+    spellings = (f"{sign}{2 * n}/{2 * m}", f"{sign}0{n}" + (f"/{m}" if m > 1 else ""), f"{sign}{n}/0{m}" if n else "-0")
+    return spellings[next(turn) % 3]
+
+
+def _number_texts(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [text for x in obj for text in _number_texts(x)]
+    return [obj] if isinstance(obj, str) else []
+
+
+@pytest.mark.parametrize("which", ["reduce-3d", "rational-step"])
+def test_trace_text_out_of_lowest_terms_reads_alike(which):
+    # "2/4", "03" and "-0" are 1/2, 3 and 0: a trace whose map points, specs and affine map are
+    # written so reads as the trace written in lowest terms, writes that text back, and replays
+    if which == "reduce-3d":
+        a, b, l = random_reduce_instance(random.Random(25), 3)
+        want, _, trace = reduce(a, b, l)
+    else:
+        a = pset(2, [(Fraction(1, 2), 0), (Fraction(1, 2), Fraction(3, 2)), (-1, Fraction(2, 3)), (0, -2)])
+        spec = CompressionSpec(Hyperplane.of((2, 1), Fraction(-5, 6)), Direction.of((1, 1)))
+        trace = CompressionTrace((TraceStep(spec, a),))
+        want = compress(a, spec)[0]
+    blob = trace.to_json()
+    respelled = _respelled(blob, itertools.count())
+    pairs = list(zip(_number_texts(blob), _number_texts(respelled)))
+    assert all(old != new and Fraction(old) == Fraction(new) for old, new in pairs)
+    news = [new for _, new in pairs]
+    assert "-0" in news and any(re.match("-?0[0-9]", new) for new in news)
+    assert any("/" in new and gcd(*map(int, new.lstrip("-").split("/"))) > 1 for new in news)
+    back = CompressionTrace.from_json(respelled)
+    assert back == CompressionTrace.from_json(blob) == trace
+    assert back.to_json() == blob
+    assert back.replay(a) == want
 
 
 def test_trace_step_rejects_points_of_another_dimension():

@@ -13,9 +13,12 @@ radix, also range over sets in d = 1..4 with n = 1..12, integer or rational
 on each axis, negative coordinates, zero-span axes and collinear sets, and
 must equal the two-operand count on an equal but distinct set. The same sets
 check `PointSet.to_json`, which writes its text from the integer points,
-against the text of the `Fraction` points and its own `from_json`, and the
-search's witness re-check, `_tuple_diff_count`, which counts the
-lexicographically positive half of A - A, against the oracle. The `linalg`
+against the text of the `Fraction` points and its own `from_json`, the
+number reader, whose every form of a coordinate (an int or a `Fraction`, a
+subclass of either, text in lowest terms or not) must give the fields of the
+set of the `Fraction`s, and the search's witness re-check,
+`_tuple_diff_count`, which counts the lexicographically positive half of
+A - A, against the oracle. The `linalg`
 elimination is pinned through `affine_dimension` on flats of every rank in
 d = 1..5, through `kernel_vector` on matrices of up to 5 x 5 of every rank,
 with integer, rational and mixed int/Fraction entries, and through
@@ -76,6 +79,8 @@ from sumlab.linalg import invert_matrix, kernel_vector
 from sumlab.pointset import _pack, _unpack, difference_count, sumset_count
 from sumlab.search import _tuple_diff_count
 from conftest import (
+    FractionSubclass,
+    IntSubclass,
     _fraction_rref,
     oracle_apply_affine,
     oracle_compress,
@@ -219,6 +224,36 @@ def test_tuple_diff_count_matches_oracle(case):
     _, pts = case
     pts = tuple(sorted(pts))
     assert _tuple_diff_count(pts) == oracle_diff_count(pts)
+
+
+@st.composite
+def _written(draw, c: Fraction):
+    """c as one of the forms a coordinate may take: an int or an int subclass when c is an integer,
+    a Fraction or a Fraction subclass, its text in lowest terms, or text that is not (a common
+    factor in numerator and denominator, leading zeros, "/1", or "-0")."""
+    forms = {"fraction": Fraction, "fraction-subclass": FractionSubclass, "text": str, "other-text": None}
+    if c.denominator == 1:
+        forms.update({"int": int, "int-subclass": IntSubclass})
+    form = draw(st.sampled_from(list(forms)))
+    if form == "other-text":
+        n, m = c.as_integer_ratio()
+        k, zeros = draw(st.integers(1, 4)), "0" * draw(st.integers(0, 2))
+        sign = "-" if n < 0 or (n == 0 and draw(st.booleans())) else ""
+        return f"{sign}{zeros}{abs(n) * k}" + ("" if m * k == 1 and draw(st.booleans()) else f"/{zeros}{m * k}")
+    return forms[form](c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(self_count_sets(), st.data())
+def test_every_coordinate_form_reads_alike(case, data):
+    # each coordinate is read to the same number whatever its form, so the set has the fields of
+    # the set of the Fractions, through PointSet.of and from_json alike
+    d, pts = case
+    written = [tuple(data.draw(_written(c)) for c in p) for p in pts]
+    want = PointSet.of(d, pts)
+    a = PointSet.of(d, written)
+    assert (a.scale, a.ints) == (want.scale, want.ints)
+    assert PointSet.from_json({"dim": d, "points": [list(p) for p in written]}) == want
 
 
 @PROPERTY

@@ -20,7 +20,7 @@ from sumlab import (
     translate,
 )
 from sumlab.pointset import difference_count, sumset_count
-from conftest import oracle_diff_count, oracle_pair_sum_count, pset
+from conftest import FractionSubclass, IntSubclass, oracle_diff_count, oracle_pair_sum_count, pset
 
 
 def test_sumset_intervals():
@@ -260,11 +260,11 @@ def test_iterating_a_set_yields_its_fraction_points():
     assert list(pset(2, [(Fraction(1, 2), 3), (0, 1)])) == [(0, 1), (Fraction(1, 2), 3)]
 
 
-class _Int(int):
-    """An int type other than int and bool, such as an IntEnum."""
-
-
-@pytest.mark.parametrize("form", [int, Fraction, str, _Int], ids=["int", "fraction", "text", "int-subclass"])
+@pytest.mark.parametrize(
+    "form",
+    [int, Fraction, str, IntSubclass, FractionSubclass],
+    ids=["int", "fraction", "text", "int-subclass", "fraction-subclass"],
+)
 def test_int_fraction_and_text_inputs_agree(form):
     # ints enter as ints, yet every way in gives the fields and the Fraction outputs of the other two forms
     def point(p):
