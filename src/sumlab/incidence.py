@@ -181,18 +181,18 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def _turn(
-    pts: Sequence[tuple[int, ...]], n: tuple[int, ...], c: int, m: tuple[int, ...], cm: int
+    pts: Sequence[tuple[int, ...]], heights: Sequence[int], n: tuple[int, ...], c: int, m: tuple[int, ...], cm: int
 ) -> tuple[tuple[int, ...], int]:
     """Rotate the supporting hyperplane n.x = c about its intersection with m.x = cm.
 
-    m.x <= cm must hold on the points of n.x = c.  Among the points below the
-    hyperplane, the one with the largest (m.p - cm) / (c - n.p) is met first;
-    the returned primitive (normal, offset) passes through it and still has
-    every point on the side n.x <= c had.
+    heights[i] is c - n.pts[i], and m.x <= cm must hold on the points of
+    n.x = c.  Among the points below the hyperplane, the one with the largest
+    (m.p - cm) / (c - n.p) is met first; the returned primitive (normal,
+    offset) passes through it and still has every point on the side n.x <= c
+    had.
     """
     b, a = -1, 0
-    for p in pts:
-        below = c - _dot(n, p)
+    for p, below in zip(pts, heights):
         if below:
             rise = _dot(m, p) - cm
             if a == 0 or rise * a > b * below:
@@ -202,43 +202,81 @@ def _turn(
     return tuple(x // g for x in normal), (b * c + a * cm) // g
 
 
-def _facets(pts: list[tuple[int, ...]]) -> set[tuple[tuple[int, ...], int]]:
-    """Facets of the convex hull of integer points, relative to their affine hull.
-
-    Gift wrapping (Chand & Kapur 1970): each facet is a primitive outward
-    (normal, offset), with normal.p <= offset on every point and the normal
-    in the span of the points' differences.  The first facet comes from the
-    face maximising basis[0], turned about itself until it spans a facet;
-    every facet then hands its neighbours over its ridges, which are the
-    facets of its own face one rank lower.  Rank 1 is the base case: the
-    two endpoints.
-    """
-    basis = affine_basis(pts)
-    if len(basis) == 1:
-        u = _primitive_int(basis[0])
-        values = [_dot(u, p) for p in pts]
-        return {(u, max(values)), (tuple(-x for x in u), -min(values))}
+def _first_facet(pts: Sequence[tuple[int, ...]], basis: list) -> tuple[tuple[int, ...], int]:
+    """A facet of the points, whose affine basis is given: the face maximising basis[0], turned
+    about itself until it spans a facet."""
     n = _primitive_int(basis[0])
     c = max(_dot(n, p) for p in pts)
     while True:
-        face = [p for p in pts if _dot(n, p) == c]
+        heights = [c - _dot(n, p) for p in pts]
+        face = [p for p, h in zip(pts, heights) if not h]
         face_basis = affine_basis(face)
         if len(face_basis) == len(basis) - 1:
-            break
+            return n, c
         # m is constant on the face and orthogonal to n, so turning about it tilts n
         coeffs = kernel_vector([[_dot(v, b) for b in basis] for v in [*face_basis, n]], len(basis))
         m = _primitive_int(tuple(sum(x * b[i] for x, b in zip(coeffs, basis)) for i in range(len(n))))
-        n, c = _turn(pts, n, c, m, _dot(m, face[0]))
-    found = {(n, c)}
-    todo = [(n, c)]
-    while todo:
-        n, c = todo.pop()
-        for m, cm in _facets([p for p in pts if _dot(n, p) == c]):
-            facet = _turn(pts, n, c, m, cm)
-            if facet not in found:
-                found.add(facet)
-                todo.append(facet)
-    return found
+        n, c = _turn(pts, heights, n, c, m, _dot(m, face[0]))
+
+
+def _facets(pts: list[tuple[int, ...]]) -> set[tuple[tuple[int, ...], int]]:
+    """Facets of the convex hull of sorted, distinct integer points, relative to their affine hull.
+
+    Gift wrapping (Chand & Kapur 1970): each facet is a primitive outward
+    (normal, offset), with normal.p <= offset on every point and the normal
+    in the span of the points' differences.  Every face met is a sorted
+    sublist of the points, so the sort is a precondition: one table per call
+    holds the facets of each face, keyed by its point tuple, and `_hull`
+    solves each face once.  Within a face, each facet's heights c - n.p are
+    computed once; they give its own face and the side every turn from it
+    keeps, and each ridge is crossed from one side only.  The first facet
+    comes from `_first_facet`; a facet G reached from F over a ridge has
+    that ridge as a facet of its own face, with outward normal
+    |n_G|^2 n_F - (n_F . n_G) n_G (the component of n_F orthogonal to n_G,
+    as in `_shadow_keys`) divided by its positive gcd, so G's face is
+    entered through it and only the first chain of faces searches.  Rank 1
+    is the base case: the two endpoints, the first and last points.
+    """
+    return set(_hull(tuple(pts), len(affine_basis(pts)), None, {}))
+
+
+def _hull(pts: tuple, rank: int, first, solved: dict) -> dict:
+    """{facet: its face} of sorted points of the given affine rank, also stored as solved[pts].
+
+    first is one facet (normal, offset) of the points, or None to search one.
+    A ridge is known by its point tuple, the same from both its facets.
+    """
+    if rank == 1:
+        lo, hi = pts[0], pts[-1]
+        u = _primitive_int(tuple(map(sub, hi, lo)))
+        facets = {(u, _dot(u, hi)): (hi,), (tuple(-x for x in u), -_dot(u, lo)): (lo,)}
+    else:
+        if first is None:
+            first = _first_facet(pts, affine_basis(pts))
+        facets = {}
+        seeds = {first: None}  # each facet found -> the ridge its face is entered through
+        crossed = set()
+        todo = [first]
+        while todo:
+            n, c = facet = todo.pop()
+            heights = [c - _dot(n, p) for p in pts]
+            facets[facet] = face = tuple([p for p, h in zip(pts, heights) if not h])
+            ridges = solved[face] if face in solved else _hull(face, rank - 1, seeds[facet], solved)
+            for (m, cm), ridge in ridges.items():
+                if ridge in crossed:
+                    continue
+                crossed.add(ridge)
+                nxt = _turn(pts, heights, n, c, m, cm)
+                if nxt not in seeds:
+                    # the ridge as a facet of nxt's face; a sign-canonical `_primitive_int` could turn it inward
+                    ng, cg = nxt
+                    w, t = _dot(ng, ng), _dot(n, ng)
+                    v = tuple([w * x - t * y for x, y in zip(n, ng)])
+                    g = gcd(*v)
+                    seeds[nxt] = tuple([x // g for x in v]), (w * c - t * cg) // g
+                    todo.append(nxt)
+    solved[pts] = facets
+    return facets
 
 
 def supporting_hyperplanes(a: PointSet, l: Direction) -> list[Hyperplane]:

@@ -4,7 +4,11 @@ Operands range over d = 1..4 with integer, rational and mixed-denominator
 coordinates (the two operands of a sum or difference drawing from different
 denominators), general and collinear point sets, and sizes down to n = 2.
 Supporting hyperplanes and the major hyperplane range over d = 2..5, with
-sets of every affine rank and arbitrary directions; line partitions and
+sets of every affine rank and arbitrary directions, and the facet
+enumeration `_facets` alone also ranges past the oracle's reach, over 12-40
+integer, rational and lower-rank points in d = 3..6, where every ridge must
+lie in exactly two facets, and over cubes, cubes with their centre and edge
+midpoints, cross-polytopes and a pyramid over a square; line partitions and
 hyperplane slices over d = 2..4, along random directions and along a
 difference of two set points. The counts `sumset_count` and
 `difference_count` range over the same operands as the sets, and over each
@@ -45,8 +49,9 @@ with zero-span axes and negative coordinates.
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -75,7 +80,8 @@ from sumlab import (
     translate,
 )
 from sumlab.compression import TraceStep
-from sumlab.linalg import invert_matrix, kernel_vector
+from sumlab.incidence import _facets
+from sumlab.linalg import affine_basis, invert_matrix, kernel_vector
 from sumlab.pointset import _pack, _unpack, difference_count, sumset_count
 from sumlab.search import _tuple_diff_count
 from conftest import (
@@ -388,6 +394,83 @@ def test_major_hyperplane_matches_oracle(case):
     else:
         h = major_hyperplane(a, l)
         assert (h.normal, h.offset) == expected
+
+
+# past the oracle's reach (7-10 points): a box per dimension small enough to keep the facet count in hand
+HULL_BOX = {3: (-4, 4), 4: (-3, 3), 5: (-1, 1), 6: (0, 1)}
+
+
+@st.composite
+def hull_cases(draw):
+    """Sorted integer points, 12-40 of them in d = 3..6: a box sample, its image under a rational
+    diagonal map (brought back to integers by `PointSet.of`), or a lattice of lower rank."""
+    d = draw(st.integers(3, 6))
+    lo, hi = HULL_BOX[d]
+    kind = draw(st.sampled_from(["integer", "rational", "lower rank"]))
+    if kind == "lower rank":
+        rank = draw(st.integers(1, d - 1))
+        spans = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d).filter(any), min_size=rank, max_size=rank))
+        reach = 6 if rank == 1 else 2  # room for 12 distinct steps
+        steps = draw(st.lists(st.tuples(*[st.integers(-reach, reach)] * rank), min_size=12, max_size=40, unique=True))
+        pts = [tuple(sum(t * v[i] for t, v in zip(ts, spans)) for i in range(d)) for ts in steps]
+    else:
+        pts = draw(st.lists(st.tuples(*[st.integers(lo, hi)] * d), min_size=12, max_size=40, unique=True))
+        if kind == "rational":
+            dens = draw(st.tuples(*[st.sampled_from((1, 2, 3))] * d))
+            pts = [tuple(Fraction(x, q) for x, q in zip(p, dens)) for p in pts]
+    return list(PointSet.of(d, pts).ints)
+
+
+def _assert_complete_hull(pts, facets):
+    """Every facet is primitive, in the span of the points' differences, keeps every point on one side and
+    meets them in a face of rank k - 1; every ridge lies in exactly two facets, so no facet is missing."""
+    k = len(affine_basis(pts))
+    assert len(facets) >= k + 1 if k > 1 else len(facets) == 2
+    ridges = Counter()
+    for n, c in facets:
+        assert gcd(*n) == 1 and len(affine_basis([*pts, tuple(x + y for x, y in zip(pts[0], n))])) == k
+        heights = [c - sum(map(mul, n, p)) for p in pts]
+        assert min(heights) == 0
+        face = [p for p, h in zip(pts, heights) if h == 0]
+        assert len(affine_basis(face)) == k - 1
+        if k == 1:
+            continue
+        if len(face) == k:  # a simplex: its ridges are its (k-1)-subsets
+            ridges.update(itertools.combinations(face, k - 1))
+        else:
+            ridges.update(tuple(p for p in face if sum(map(mul, m, p)) == cm) for m, cm in _facets(face))
+    assert set(ridges.values()) <= {2}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(hull_cases())
+def test_facets_of_larger_sets_close_up(pts):
+    _assert_complete_hull(pts, _facets(pts))
+
+
+def _unit(d, i, sign=1):
+    return tuple(sign if j == i else 0 for j in range(d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_facets_of_cube_and_cross_polytope(d):
+    cube = sorted(itertools.product((0, 1), repeat=d))
+    expected = {(_unit(d, i), 1) for i in range(d)} | {(_unit(d, i, -1), 0) for i in range(d)}
+    assert _facets(cube) == expected
+    # points inside facets and ridges leave the facets as they were: the doubled cube with its centre and edge midpoints
+    mids = [p for p in itertools.product((0, 1, 2), repeat=d) if p.count(1) in (1, d)]
+    dense = sorted({tuple(2 * x for x in p) for p in cube} | set(mids))
+    assert _facets(dense) == {(n, 2 * c) for n, c in expected}
+    cross = sorted(_unit(d, i, s) for i in range(d) for s in (1, -1))
+    assert _facets(cross) == {(signs, 1) for signs in itertools.product((1, -1), repeat=d)}
+    for pts in (cube, dense, cross):
+        _assert_complete_hull(pts, _facets(pts))
+
+
+def test_facets_of_a_pyramid_over_a_square():
+    pts = sorted([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
+    assert _facets(pts) == {((0, 0, -1), 0), ((-1, 0, 1), 0), ((1, 0, 1), 2), ((0, -1, 1), 0), ((0, 1, 1), 2)}
+    _assert_complete_hull(pts, _facets(pts))
 
 
 @st.composite

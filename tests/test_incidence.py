@@ -460,3 +460,17 @@ def test_one_diagnosis_and_its_claims_walk_the_shadow_facets_once(monkeypatch):
     check_claim("DLINES", a)
     # the second cover is the top slice's, which the diagnosis and TWOPLANES_1 share
     assert calls == ["_min_line_cover", "_supporting_hyperplanes", "_hyperplane_slices", "_min_line_cover"]
+
+
+def test_one_facet_enumeration_solves_each_face_once(monkeypatch):
+    # a d = 5 set of 6 points whose shadow has 9 facets and 43 faces of rank 1 or more; each ridge
+    # is a face of two facets and each edge of many, and the per-call table solves each once
+    import sumlab.incidence
+
+    solved = []
+    real = sumlab.incidence._hull
+    monkeypatch.setattr(sumlab.incidence, "_hull", lambda pts, *args: solved.append(pts) or real(pts, *args))
+    a = pset(5, [(1, -2, -2, 3, -2), (3, 1, 0, -3, -3), (-1, 1, 0, -3, -1), (1, -1, 2, -3, 1), (-1, 3, 1, -2, 3),
+                 (1, 1, 1, -1, 0)])
+    assert len(supporting_hyperplanes(a, Direction.of((-2, 2, 1, 0, 2)))) == 9
+    assert len(solved) == len(set(solved)) == 43
