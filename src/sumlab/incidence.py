@@ -50,10 +50,18 @@ class Direction:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """{x : normal . x = offset} with primitive sign-canonical integer normal."""
+    """{x : normal . x = offset} with primitive sign-canonical integer normal (as `of` builds it)."""
 
     normal: tuple[int, ...]
-    offset: Fraction
+    offset: int | Fraction
+
+    def __post_init__(self):
+        # types only, as for a raw Direction: a float here would carry inexact arithmetic into the kernels
+        normal, offset = self.normal, self.offset
+        if type(normal) is not tuple or any(type(x) is not int for x in normal) or not any(normal):
+            raise ValueError(f"raw hyperplane normal {normal!r} is not a nonzero int tuple")
+        if type(offset) is not int and type(offset) is not Fraction:
+            raise ValueError(f"raw hyperplane offset {offset!r} is not an int or a Fraction")
 
     @classmethod
     def of(cls, normal: Sequence, offset) -> "Hyperplane":
@@ -202,64 +210,76 @@ def _turn(
     return tuple(x // g for x in normal), (b * c + a * cm) // g
 
 
-def _first_facet(pts: Sequence[tuple[int, ...]], basis: list) -> tuple[tuple[int, ...], int]:
-    """A facet of the points, whose affine basis is given: the face maximising basis[0], turned
-    about itself until it spans a facet."""
-    n = _primitive_int(basis[0])
-    c = max(_dot(n, p) for p in pts)
-    while True:
-        heights = [c - _dot(n, p) for p in pts]
-        face = [p for p, h in zip(pts, heights) if not h]
-        face_basis = affine_basis(face)
-        if len(face_basis) == len(basis) - 1:
-            return n, c
-        # m is constant on the face and orthogonal to n, so turning about it tilts n
-        coeffs = kernel_vector([[_dot(v, b) for b in basis] for v in [*face_basis, n]], len(basis))
-        m = _primitive_int(tuple(sum(x * b[i] for x, b in zip(coeffs, basis)) for i in range(len(n))))
-        n, c = _turn(pts, heights, n, c, m, _dot(m, face[0]))
-
-
 def _facets(pts: list[tuple[int, ...]]) -> set[tuple[tuple[int, ...], int]]:
     """Facets of the convex hull of sorted, distinct integer points, relative to their affine hull.
 
     Gift wrapping (Chand & Kapur 1970): each facet is a primitive outward
     (normal, offset), with normal.p <= offset on every point and the normal
-    in the span of the points' differences.  Every face met is a sorted
-    sublist of the points, so the sort is a precondition: one table per call
-    holds the facets of each face, keyed by its point tuple, and `_hull`
-    solves each face once.  Within a face, each facet's heights c - n.p are
-    computed once; they give its own face and the side every turn from it
-    keeps, and each ridge is crossed from one side only.  The first facet
-    comes from `_first_facet`; a facet G reached from F over a ridge has
-    that ridge as a facet of its own face, with outward normal
-    |n_G|^2 n_F - (n_F . n_G) n_G (the component of n_F orthogonal to n_G,
-    as in `_shadow_keys`) divided by its positive gcd, so G's face is
-    entered through it and only the first chain of faces searches.  Rank 1
-    is the base case: the two endpoints, the first and last points.
+    in the span of the points' differences.  The one search is here, and it
+    runs once: it builds the first chain, a flag of a facet of the points,
+    then a facet of that facet's face within that face, and so on down to an
+    edge.  Each level starts from the face maximising the first vector of
+    its face's basis and turns about that face until it spans a facet; the
+    basis of the facet's face, computed for that test, is the next level's
+    basis, so the points are ranked once and each face the search meets is
+    ranked once within its level.  `_hull` then wraps, entering every face
+    through a facet it already knows, and ranks nothing.  Every face met is
+    a sorted sublist of the points, so the sort is a precondition: one table
+    per call holds the facets of each face, keyed by its point tuple, and
+    `_hull` solves each face once.
     """
-    return set(_hull(tuple(pts), len(affine_basis(pts)), None, {}))
+    pts = face = tuple(pts)
+    basis = affine_basis(pts)
+    flag = []
+    while len(basis) > 1:
+        n = _primitive_int(basis[0])
+        c = max(_dot(n, p) for p in face)
+        while True:
+            heights = [c - _dot(n, p) for p in face]
+            inner = tuple([p for p, h in zip(face, heights) if not h])
+            inner_basis = affine_basis(inner)
+            if len(inner_basis) == len(basis) - 1:
+                break
+            # m is constant on the face met and orthogonal to n, so turning about it tilts n
+            coeffs = kernel_vector([[_dot(v, b) for b in basis] for v in [*inner_basis, n]], len(basis))
+            m = _primitive_int(tuple(sum(x * b[i] for x, b in zip(coeffs, basis)) for i in range(len(n))))
+            n, c = _turn(face, heights, n, c, m, _dot(m, inner[0]))
+        flag.append((n, c))
+        face, basis = inner, inner_basis
+    # one facet per level, from the points' rank down to 2
+    return set(_hull(pts, len(flag) + 1, flag, {}))
 
 
-def _hull(pts: tuple, rank: int, first, solved: dict) -> dict:
+def _hull(pts: tuple, rank: int, flag: list, solved: dict) -> dict:
     """{facet: its face} of sorted points of the given affine rank, also stored as solved[pts].
 
-    first is one facet (normal, offset) of the points, or None to search one.
-    A ridge is known by its point tuple, the same from both its facets.
+    flag[0] is a facet (normal, offset) of the points, and flag[1:] is such a
+    flag of that facet's face, unless that face is already in solved; a face
+    of rank 1 needs none.  Within a face, each facet's heights c - n.p are
+    computed once; they give its own face and the side every turn from it
+    keeps, and a negative height is a fault of the hull, not of the input.
+    A ridge is known by its point tuple, the same from both its facets, and
+    is crossed from one side only.  A facet G reached from F over a ridge
+    has that ridge as a facet of its own face, with outward normal
+    |n_G|^2 n_F - (n_F . n_G) n_G (the component of n_F orthogonal to n_G,
+    as in `_shadow_keys`) divided by its positive gcd; that ridge's face is
+    solved, so this one facet is G's whole flag.  Rank 1 is the base case:
+    the two endpoints, the first and last points.
     """
     if rank == 1:
         lo, hi = pts[0], pts[-1]
         u = _primitive_int(tuple(map(sub, hi, lo)))
         facets = {(u, _dot(u, hi)): (hi,), (tuple(-x for x in u), -_dot(u, lo)): (lo,)}
     else:
-        if first is None:
-            first = _first_facet(pts, affine_basis(pts))
         facets = {}
-        seeds = {first: None}  # each facet found -> the ridge its face is entered through
+        seeds = {flag[0]: flag[1:]}  # each facet found -> the flag its face is entered through
         crossed = set()
-        todo = [first]
+        todo = [flag[0]]
         while todo:
             n, c = facet = todo.pop()
             heights = [c - _dot(n, p) for p in pts]
+            if min(heights) < 0:
+                raise RuntimeError(f"hull fault: facet {facet} leaves a point outside")
             facets[facet] = face = tuple([p for p, h in zip(pts, heights) if not h])
             ridges = solved[face] if face in solved else _hull(face, rank - 1, seeds[facet], solved)
             for (m, cm), ridge in ridges.items():
@@ -273,7 +293,7 @@ def _hull(pts: tuple, rank: int, first, solved: dict) -> dict:
                     w, t = _dot(ng, ng), _dot(n, ng)
                     v = tuple([w * x - t * y for x, y in zip(n, ng)])
                     g = gcd(*v)
-                    seeds[nxt] = tuple([x // g for x in v]), (w * c - t * cg) // g
+                    seeds[nxt] = [(tuple([x // g for x in v]), (w * c - t * cg) // g)]
                     todo.append(nxt)
     solved[pts] = facets
     return facets

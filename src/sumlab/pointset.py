@@ -35,10 +35,12 @@ _RATIONAL_RE = re.compile(rf"{_INTEGER_RE.pattern}(?:/[0-9]+)?")
 # read 2,067 distinct texts 302,624 times.  A hit takes 0.08 us and a parse 2.3-2.5 us (CPython 3.11.7),
 # and 4096 entries, full, hold about 0.7 MiB.
 @lru_cache(maxsize=4096)
-def parse_rational(text: str) -> Fraction:
-    """Parse "3" or "-1/2"; rejects floats, whitespace and zero denominators."""
+def parse_rational(text: str) -> int | Fraction:
+    """Parse "3" as an int or "-1/2" as a Fraction; rejects floats, whitespace and zero denominators."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not an integer or p/q rational string: {text!r}")
+    if "/" not in text:
+        return int(text)
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -384,6 +384,9 @@ def test_repeated_number_text_reads_alike():
     assert CompressionTrace.from_json(_corner_trace_json()) == first
     assert parse_rational("1") == parse_rational("1") == Fraction(1)
     assert parse_rational("-3/6") == parse_rational("-3/6") == Fraction(-1, 2)
+    # integer text reads as an int, text with a "/" as a Fraction, even when it is integral
+    for text, value in [("3", 3), ("03", 3), ("-0", 0), ("-12", -12), ("4/2", Fraction(2)), ("-1/2", Fraction(-1, 2))]:
+        assert parse_rational(text) == value and type(parse_rational(text)) is type(value)
     for text in ["1 ", " 1", "1/0", "0.5"]:
         for _ in range(2):
             with pytest.raises(ValueError):

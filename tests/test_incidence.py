@@ -360,11 +360,30 @@ def test_stanchescu_32_slices():
         ),
         pytest.param(lambda: Direction((True, False)), "raw direction (True, False) is not", id="raw-direction-bool"),
         pytest.param(lambda: Direction([0, 1]), "raw direction [0, 1] is not", id="raw-direction-list"),
+        # a raw hyperplane follows the same type rule, so no float reaches compress_pair or the slices
+        pytest.param(
+            lambda: Hyperplane((1.0, 0.0), Fraction(0)), "raw hyperplane normal (1.0, 0.0) is not",
+            id="raw-hyperplane-float-normal",
+        ),
+        pytest.param(lambda: Hyperplane((0, 1), 0.1), "raw hyperplane offset 0.1 is not", id="raw-hyperplane-float"),
+        pytest.param(lambda: Hyperplane((0, 1), "1"), "raw hyperplane offset '1' is not", id="raw-hyperplane-text"),
+        pytest.param(lambda: Hyperplane((0, 0), 0), "raw hyperplane normal (0, 0) is not", id="raw-hyperplane-zero"),
+        pytest.param(lambda: Hyperplane((), 0), "raw hyperplane normal () is not", id="raw-hyperplane-empty"),
+        pytest.param(
+            lambda: Hyperplane((True, False), 0), "raw hyperplane normal (True, False) is not", id="raw-hyperplane-bool"
+        ),
+        pytest.param(lambda: Hyperplane([0, 1], 0), "raw hyperplane normal [0, 1] is not", id="raw-hyperplane-list"),
     ],
 )
 def test_incidence_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_raw_hyperplane_checks_types_only():
+    # the normal need not be primitive or sign-canonical, as `Hyperplane.of` makes it
+    assert Hyperplane((0, -2), 3).normal == (0, -2)
+    assert Hyperplane((1, 1), Fraction(1, 2)).offset == Fraction(1, 2)
 
 
 def _answer(query, *args):
@@ -474,3 +493,65 @@ def test_one_facet_enumeration_solves_each_face_once(monkeypatch):
                  (1, 1, 1, -1, 0)])
     assert len(supporting_hyperplanes(a, Direction.of((-2, 2, 1, 0, 2)))) == 9
     assert len(solved) == len(set(solved)) == 43
+
+
+@pytest.mark.parametrize("case", ["d5-shadow", "d4-turning"])
+def test_facets_rank_the_first_chain_once(monkeypatch, case):
+    # `_facets` finds the first chain once and ranks its input once, and `_hull` enters every face
+    # through a facet it is handed, so it ranks nothing; the first chain of both sets turns
+    import sumlab.incidence as incidence
+
+    if case == "d5-shadow":
+        a = pset(5, [(1, -2, -2, 3, -2), (3, 1, 0, -3, -3), (-1, 1, 0, -3, -1), (1, -1, 2, -3, 1),
+                     (-1, 3, 1, -2, 3), (1, 1, 1, -1, 0)])
+        pts = sorted(set(incidence._shadow(a, (-2, 2, 1, 0, 2))[1]))
+    else:
+        pts = [(0, 0, 3, 1), (0, 3, 0, 2), (0, 3, 1, 0), (1, 3, 0, 0), (2, 0, 3, 1), (2, 2, 0, 3), (3, 1, 0, 2)]
+    expected = incidence._facets(pts)
+    calls, flags, turns, depth = [], [], [], [0]
+    real_basis, real_hull, real_turn = incidence.affine_basis, incidence._hull, incidence._turn
+
+    def basis(points):
+        calls.append((tuple(points), depth[0]))
+        return real_basis(points)
+
+    def hull(pts, rank, flag, solved):
+        flags.append(flag)
+        depth[0] += 1
+        try:
+            return real_hull(pts, rank, flag, solved)
+        finally:
+            depth[0] -= 1
+
+    def turn(*args):
+        turns.append(depth[0])
+        return real_turn(*args)
+
+    monkeypatch.setattr(incidence, "affine_basis", basis)
+    monkeypatch.setattr(incidence, "_hull", hull)
+    monkeypatch.setattr(incidence, "_turn", turn)
+    assert incidence._facets(pts) == expected
+    assert all(inside == 0 for _, inside in calls)
+    assert [face for face, _ in calls].count(tuple(pts)) == 1
+    # the flag runs from the points down to an edge, and the search ranks the points, then each face
+    # it meets once: one per turn and one per level's facet, whose basis the next level starts from
+    assert len(flags[0]) == len(real_basis(pts)) - 1
+    searched = turns.count(0)
+    assert searched > 0 and len(calls) == 1 + len(flags[0]) + searched
+
+
+@pytest.mark.parametrize("fault", ["flipped", "shifted"])
+def test_a_turn_off_the_hull_is_an_internal_error(monkeypatch, fault):
+    # every facet's heights are checked, so a wrong turn raises RuntimeError (exit 4 at the CLI)
+    # in place of returning extra facets or reading as bad input
+    import sumlab.incidence as incidence
+
+    real = incidence._turn
+
+    def turn(*args):
+        n, c = real(*args)
+        return (tuple(-x for x in n), -c) if fault == "flipped" else (n, c - 1)
+
+    monkeypatch.setattr(incidence, "_turn", turn)
+    with pytest.raises(RuntimeError, match="hull fault"):
+        incidence._facets(sorted(itertools.product((0, 1), repeat=3)))
