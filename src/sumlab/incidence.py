@@ -91,17 +91,18 @@ def project_along(p: Point, l: Direction) -> Point:
 
 @dataclass(frozen=True)
 class LinePartition:
-    """Partition of a set into its fibers along one direction."""
+    """The lines parallel to `direction` that meet a set, as their sizes: sizes[i] set points lie on
+    line i, the lines in increasing order of their shadow keys (`_shadow`) and so of their projections."""
 
     direction: Direction
-    classes: tuple[tuple[Point, PointSet], ...]
+    sizes: tuple[int, ...]
 
     @property
     def count(self) -> int:
-        return len(self.classes)
+        return len(self.sizes)
 
     def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for _, c in self.classes)
+        return self.sizes
 
 
 def _shadow(a: PointSet, lv: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
@@ -131,14 +132,14 @@ def _group(items: Iterable, keys: Iterable) -> dict:
 
 
 def line_partition(a: PointSet, l: Direction) -> LinePartition:
-    """Group points by the line parallel to l through them (exact projection keys); each
-    class lists its points in lexicographic order, which is their order along l."""
-    s, keys = _shadow(a, l.vec)
-    classes = tuple(
-        (tuple(Fraction(x, s) for x in key), _from_sorted(a.dim, a.scale, pts))
-        for key, pts in sorted(_group(a.ints, keys).items())
-    )
-    return LinePartition(l, classes)
+    """The lines parallel to l through the set's points: the set's integer shadow keys along l,
+    counted once per set and direction and kept in the set's memo."""
+    return _once(a, ("line_partition", l.vec), lambda: _line_partition(a, l))
+
+
+def _line_partition(a: PointSet, l: Direction) -> LinePartition:
+    counts = Counter(_shadow(a, l.vec)[1])
+    return LinePartition(l, tuple([counts[key] for key in sorted(counts)]))
 
 
 def min_line_cover(a: PointSet) -> tuple[Direction, int]:

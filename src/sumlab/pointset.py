@@ -113,9 +113,9 @@ class PointSet:
 
     A set is immutable, so each fact the kernels derive from it is computed once and kept in
     the set's private memo (`_once`): its affine dimension, |A + A| and |A - A| (also recorded
-    by `sumset(a, a)` and `difference_set(a, a)`), its `min_line_cover`, its supporting and
-    major hyperplanes along each direction, and its slices by each hyperplane.  `==` and
-    `hash` read only `dim`, `scale` and `ints`, never the memo."""
+    by `sumset(a, a)` and `difference_set(a, a)`), its `min_line_cover`, its line partition and
+    its supporting and major hyperplanes along each direction, and its slices by each
+    hyperplane.  `==` and `hash` read only `dim`, `scale` and `ints`, never the memo."""
 
     dim: int
     scale: int
@@ -390,10 +390,8 @@ class AffineMap:
         return _map_from_integers(den, [[m * c for c in row] for row in k], [-sum(map(mul, row, t)) for row in k])
 
     def to_json(self) -> dict:
-        return {
-            "matrix": [[str(c) for c in row] for row in self.matrix],
-            "translation": [str(c) for c in self.translation],
-        }
+        *matrix, translation = _texts(self.scale, (*self.rows, self.shift))
+        return {"matrix": matrix, "translation": translation}
 
     @classmethod
     def from_json(cls, obj: dict) -> "AffineMap":

@@ -191,7 +191,7 @@ def random_reduce_instance(rng: random.Random, d: int):
             a = _sample_set(rng, d, rng.randint(d + 2, d + 7), 4)
             if affine_dimension(a) == d:
                 break
-        p, q = rng.sample(a.points, 2)
+        p, q = rng.sample(a.ints, 2)
         l = Direction.of(tuple(x - y for x, y in zip(p, q)))
     b = _sample_set(rng, d, rng.randint(1, 6), 4)
     return a, b, l

@@ -289,6 +289,29 @@ def test_major_hyperplane_scales_the_set_once(monkeypatch):
     assert sum(1 for p in a.ints if sum(map(mul, h.normal, p)) == h.offset * a.scale) == 3
 
 
+def test_line_partition_is_counted_once_per_set_and_direction(monkeypatch):
+    # the claims that read the lines of A and B along l share one shadow of each
+    import sumlab.incidence
+
+    real = sumlab.incidence._shadow
+    calls = []
+    monkeypatch.setattr(sumlab.incidence, "_shadow", lambda s, lv: calls.append(s) or real(s, lv))
+    a = pset(2, [(0, 0), (1, 0), (2, 0), (0, 1), (Fraction(1, 2), 1)])
+    b = pset(2, [(0, 0), (1, 1), (3, 1)])
+    for claim in ("GS_LINES", "LEMMA_BASE_2D", "LINES_4D"):
+        check_claim(claim, a, b, E1)
+    first, second = line_partition(a, E1), line_partition(a, E1)
+    assert len(calls) == 2 and calls[0] is a and calls[1] is b
+    assert first is second and first.sizes == (3, 2)
+    # a refusal keeps nothing, so it raises again on the next call
+    empty, flat = PointSet.of(2, []), pset(3, [(0, 0, 0)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="empty set"):
+            line_partition(empty, E1)
+        with pytest.raises(ValueError, match="direction dimension mismatch"):
+            line_partition(flat, E1)
+
+
 def test_major_slice_at_least_last_slice():
     rng = random.Random(16)
     for _ in range(25):
