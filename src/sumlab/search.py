@@ -3,10 +3,10 @@
 Exhaustive enumeration walks n-subsets of a box lattice in lexicographic
 order and keeps only canonical representatives, those equal to their
 `canonical_form`: lexicographically minimal under translation-to-origin,
-plus coordinate permutation when the box is uniform.  With pruning on, three
+plus coordinate permutation when the box is uniform.  With pruning on, four
 admissible cuts skip subtrees; none can remove a canonical subset whose
-|A - A| is at most the best value found, so the minimum and the witness set
-are those of the full walk:
+|A - A| is below the best value found, or ties it while the witness list has
+room, so the minimum and the reported witnesses are those of the full walk:
 
 - the first point has x_0 = 0.  A canonical set has each coordinate's
   minimum at 0, and its first point, the lexicographic minimum, holds the
@@ -18,7 +18,10 @@ are those of the full walk:
   later point p makes p - head[0] larger than every difference of the
   chosen prefix head, and each of the r points still to place adds at least
   the two new differences ±(p - head[0]).  A partial subset with
-  |S - S| + 2r > best is cut; ties survive, so tied witnesses are kept.
+  |S - S| + 2r > best is cut, so ties survive;
+- the tie cut: leaves are met in index order, the report's order, so once
+  WITNESS_CAP witnesses are held at best a later tie would be dropped.  The
+  two cuts above then compare with best - 1 instead, until best falls.
 
 The global floor |A - A| >= 2|A| - 1 is implied by the look-ahead.  The walk
 carries two ints over the packed codes, with top the largest code: the
@@ -27,7 +30,8 @@ difference set is symmetric, so `pos` has bit δ for each positive difference
 code c exceeds every chosen one, so adding it gives pos | (down << c) >> top,
 and |S - S| = 2 popcount(pos) + 1; interior nodes and the last level count
 alike, and nothing is undone on the way back.  Pruning on or off never
-changes the minimum or the witness set, only the number of candidates examined.
+changes the minimum or the reported witnesses, only the number of candidates
+examined.
 
 The walk chooses lattice indices, and a leaf decides canonicity on them
 without building a permuted copy of its points:
@@ -236,13 +240,14 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
     # lattice_points is lexicographic, so its first total // (box[0] + 1) points have x_0 = 0
     first_stop = total // (spec.box[0] + 1) if use_prune else total
 
-    best = total * total + 1
+    # the cuts' bound: best while the witness list has room, best - 1 once it is full
+    best = limit = total * total + 1
     witnesses: set[tuple[int, ...]] = set()
     examined = 0
     violations: list[ClaimReport] = []
 
     def leaf(chosen: tuple[int, ...], value: int) -> None:
-        nonlocal best
+        nonlocal best, limit
         pts = [points[i] for i in chosen]
         # no permuted copy sorts below the chosen indices, which sort as the points do
         for w in weights:
@@ -265,6 +270,7 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
             witnesses.clear()
         if value == best:
             witnesses.add(chosen)
+            limit = best if len(witnesses) < WITNESS_CAP else best - 1
 
     def walk(start: int, head: tuple[int, ...], axes: int, pos: int, down: int) -> None:
         nonlocal examined
@@ -276,7 +282,7 @@ def exhaustive_min_diff(spec: SearchSpec, *, prune: bool = True, threads: int = 
             c = codes[idx]
             grown = pos | down << c >> top
             size = 2 * grown.bit_count() + 1
-            if use_prune and size + later > best:
+            if use_prune and size + later > limit:
                 continue
             if later:
                 walk(idx + 1, head + (idx,), axes | zeros[idx], grown, down | 1 << top - c)

@@ -114,7 +114,7 @@ def _affine_rank(points):
     ],
     ids=["d1", "d2-full", "d2", "d2-nonuniform", "d2-degenerate", "d3", "d3-flat-axis", "d2-long-axis", "n1"],
 )
-def test_exhaustive_matches_brute_force(d, n, box, full):
+def test_exhaustive_matches_brute_force(d, n, box, full, monkeypatch):
     # independent oracle: every n-subset of the box, Fraction difference counts
     best, minimisers = None, set()
     for subset in itertools.combinations(itertools.product(*(range(m + 1) for m in box)), n):
@@ -125,9 +125,14 @@ def test_exhaustive_matches_brute_force(d, n, box, full):
             best, minimisers = value, set()
         if value == best:
             minimisers.add(_translate_permute_canonical(subset, len(set(box)) == 1))
-    result = exhaustive_min_diff(SearchSpec(d, n, box, EXHAUSTIVE, seed=0, require_full_dim=full))
-    assert result.best_value == best
-    assert [w.points for w in result.witnesses] == sorted(minimisers)[:32]
+    # a cap of 1 or 3 fills the witness list above the final minimum on most specs, so the tie
+    # cut tightens early and must loosen again when the minimum falls
+    for cap in (32, 1, 3):
+        monkeypatch.setattr(search, "WITNESS_CAP", cap)
+        for prune in (True, False):
+            result = exhaustive_min_diff(SearchSpec(d, n, box, EXHAUSTIVE, seed=0, require_full_dim=full), prune=prune)
+            assert result.best_value == best
+            assert [w.points for w in result.witnesses] == sorted(minimisers)[:cap]
 
 
 @st.composite
@@ -233,18 +238,66 @@ def test_exhaustive_claim_leaf_is_ranked_once(monkeypatch):
             ],
             11, 70,
         ),
+        # 32 witnesses fill the list at the minimum, so every later tie is cut
+        (
+            2, 5, (3, 3), True, 13,
+            [
+                ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1)),
+                ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2)),
+                ((0, 0), (0, 1), (0, 2), (1, 2), (1, 3)),
+                ((0, 0), (0, 1), (0, 2), (2, 0), (2, 1)),
+                ((0, 0), (0, 1), (0, 2), (2, 1), (2, 2)),
+                ((0, 0), (0, 1), (0, 2), (2, 2), (2, 3)),
+                ((0, 0), (0, 1), (0, 2), (3, 0), (3, 1)),
+                ((0, 0), (0, 1), (0, 2), (3, 1), (3, 2)),
+                ((0, 0), (0, 1), (0, 2), (3, 2), (3, 3)),
+                ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2)),
+                ((0, 0), (0, 1), (1, 1), (1, 2), (1, 3)),
+                ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2)),
+                ((0, 0), (0, 1), (1, 1), (1, 2), (2, 3)),
+                ((0, 0), (0, 1), (1, 1), (2, 1), (2, 2)),
+                ((0, 0), (0, 1), (2, 0), (2, 1), (2, 2)),
+                ((0, 0), (0, 1), (2, 1), (2, 2), (2, 3)),
+                ((0, 0), (0, 1), (3, 0), (3, 1), (3, 2)),
+                ((0, 0), (0, 1), (3, 1), (3, 2), (3, 3)),
+                ((0, 0), (0, 2), (1, 1), (1, 3), (2, 2)),
+                ((0, 0), (0, 2), (1, 1), (2, 0), (2, 2)),
+                ((0, 0), (1, 1), (1, 2), (2, 2), (2, 3)),
+                ((0, 1), (0, 2), (0, 3), (1, 0), (1, 1)),
+                ((0, 1), (0, 2), (0, 3), (2, 0), (2, 1)),
+                ((0, 1), (0, 2), (0, 3), (3, 0), (3, 1)),
+                ((0, 1), (0, 2), (1, 0), (1, 1), (1, 2)),
+                ((0, 1), (0, 2), (1, 0), (1, 1), (2, 0)),
+                ((0, 1), (0, 2), (1, 1), (2, 0), (2, 1)),
+                ((0, 1), (0, 2), (2, 0), (2, 1), (2, 2)),
+                ((0, 1), (0, 2), (3, 0), (3, 1), (3, 2)),
+                ((0, 1), (0, 3), (1, 0), (1, 2), (2, 1)),
+                ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1)),
+                ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3)),
+            ],
+            82, 4368,
+        ),
     ],
-    ids=["d1", "d2-full", "d3"],
+    ids=["d1", "d2-full", "d3", "d2-witness-cap"],
 )
 def test_exhaustive_pinned_walk(d, n, box, full, best, witnesses, examined_pruned, examined_unpruned):
     # frozen from the sequential walk: the minimum, every witness and the leaf count, which
-    # with pruning on reflects the first-point and look-ahead cuts
+    # with pruning on reflects the first-point, look-ahead and tie cuts
     s = SearchSpec(d, n, box, EXHAUSTIVE, seed=0, require_full_dim=full)
     for prune, examined in ((True, examined_pruned), (False, examined_unpruned)):
         result = exhaustive_min_diff(s, prune=prune)
         assert result.best_value == best
         assert [w.points for w in result.witnesses] == witnesses
         assert result.candidates_examined == examined
+
+
+@pytest.mark.parametrize("cap, examined", [(1, 2), (3, 6), (32, 82), (1000, 144)])
+def test_tie_cut_follows_the_witness_cap(cap, examined, monkeypatch):
+    # d=2 n=5 box 3 has 42 canonical witnesses at 13.  The walk reads WITNESS_CAP when it runs
+    # and cuts every tie once it holds that many; a cap above 42 cuts none
+    monkeypatch.setattr(search, "WITNESS_CAP", cap)
+    result = exhaustive_min_diff(SearchSpec(2, 5, (3, 3), EXHAUSTIVE, seed=0, require_full_dim=True))
+    assert (result.best_value, len(result.witnesses), result.candidates_examined) == (13, min(cap, 42), examined)
 
 
 MINIMA = json.loads((Path(__file__).resolve().parents[1] / "sumbench" / "minima.json").read_text())
