@@ -21,7 +21,7 @@ room, so the minimum and the reported witnesses are those of the full walk:
   |S - S| + 2r > best is cut, so ties survive;
 - the tie cut: leaves are met in index order, the report's order, so once
   WITNESS_CAP witnesses are held at best a later tie would be dropped.  The
-  two cuts above then compare with best - 1 instead, until best falls.
+  count and look-ahead cuts then compare with best - 1, until best falls.
 
 The global floor |A - A| >= 2|A| - 1 is implied by the look-ahead.  The walk
 carries two ints over the packed codes, with top the largest code: the
